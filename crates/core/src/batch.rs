@@ -1587,15 +1587,22 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let (torn, partial) = Journal::open_resume(&path, &ids, &codec).unwrap();
         assert_eq!(partial.len(), 2, "torn trailing line dropped");
+        // Two workers finish in either order, so the torn line may belong
+        // to any job; re-record whichever one it was.
+        let lost = ids
+            .iter()
+            .find(|id| !partial.contains_key(*id))
+            .expect("one job lost its line")
+            .clone();
 
         // Self-healing: the torn tail is chopped before appending, so a
         // record written now is visible to the *next* resume too.
         torn.record(
             &JobRecord {
-                id: "mod-2".to_string(),
+                payload: Some(format!("{{\"module\":\"{lost}\"}}")),
+                id: lost,
                 status: JobStatus::Done,
                 attempts: 1,
-                payload: Some("{\"module\":\"mod-2\"}".to_string()),
                 incident: None,
                 wall: Duration::ZERO,
             },

@@ -350,7 +350,7 @@ impl<'m> AnalysisSession<'m> {
         let prim = &self.prims.all[chan.0];
         let scopes = self.scopes();
         let scope = &scopes[chan.0];
-        let prim_set = pset(chan, self.dependency_graph(), scopes, &self.prims);
+        let prim_set = pset(chan, self.dependency_graph(), scopes);
         let pset_sites: Vec<Loc> = prim_set.iter().map(|&p| self.prims.all[p.0].site).collect();
         let meta = crate::warm::channel_meta(prim);
         let ops_hash = crate::warm::ops_hash(&self.prims, &prim_set);
@@ -477,7 +477,7 @@ impl<'m> AnalysisSession<'m> {
     ) -> (Vec<(GroupKey, BugReport)>, bool) {
         let (root, mut prim_set): (FuncId, Vec<PrimId>) = if config.disentangle {
             let scopes = self.scopes();
-            let set = pset(chan, self.dependency_graph(), scopes, &self.prims);
+            let set = pset(chan, self.dependency_graph(), scopes);
             if rung == 0 {
                 self.telemetry.add(Counter::PsetsComputed, 1);
                 self.telemetry
@@ -927,7 +927,7 @@ impl<'m> AnalysisSession<'m> {
             let attempt = catch_isolated(|| {
                 let mut found: Vec<BugReport> = Vec::new();
                 let root = scopes[chan.id.0].root;
-                let prim_set = pset(chan.id, dg, scopes, &self.prims);
+                let prim_set = pset(chan.id, dg, scopes);
                 let pset_size = prim_set.len();
                 let mut enumerator = Enumerator::new(
                     self.module,

@@ -237,8 +237,7 @@ fn intra_reachable(f: &Function, from: Loc, to: Loc) -> bool {
 
 /// Computes the Pset of channel `c` (§3.2): `c` plus every primitive that
 /// circularly depends on `c` and whose scope is not larger.
-pub fn pset(c: PrimId, dg: &DependencyGraph, scopes: &[Scope], prims: &Primitives) -> Vec<PrimId> {
-    let _ = prims;
+pub fn pset(c: PrimId, dg: &DependencyGraph, scopes: &[Scope]) -> Vec<PrimId> {
     // A circular partner must appear in `depends[c]`, so only those
     // candidates are tested (instead of every primitive in the module);
     // sorting restores the old ascending-id output order.
@@ -348,7 +347,7 @@ mod tests {
             .collect();
         let a = prim_named(&s, "a");
         let b = prim_named(&s, "b");
-        let pset_a = pset(a, &dg, &scopes, &s.prims);
+        let pset_a = pset(a, &dg, &scopes);
         assert!(
             pset_a.contains(&b),
             "same-scope select peer belongs to Pset"
@@ -397,11 +396,11 @@ func main() {
             scopes[ctx.0].size() > scopes[out_done.0].size(),
             "ctx channel has the larger scope"
         );
-        let ps = pset(out_done, &dg, &scopes, &s.prims);
+        let ps = pset(out_done, &dg, &scopes);
         assert!(!ps.contains(&ctx), "ctx is excluded from outDone's Pset");
         // ...but analyzing ctx includes outDone (paper: "inspected together
         // when GCatch analyzes ctx.Done()").
-        let ps_ctx = pset(ctx, &dg, &scopes, &s.prims);
+        let ps_ctx = pset(ctx, &dg, &scopes);
         assert!(ps_ctx.contains(&out_done));
     }
 

@@ -172,13 +172,12 @@ impl<'a> Enumerator<'a> {
     ) -> Enumerator<'a> {
         let pset: HashSet<PrimId> = pset.iter().copied().collect();
         // A function "touches" the Pset if any function reachable from it
-        // contains an op on a Pset primitive.
-        let mut direct: HashSet<FuncId> = HashSet::new();
-        for op in &prims.ops {
-            if pset.contains(&op.prim) {
-                direct.insert(op.func);
-            }
-        }
+        // contains an op on a Pset primitive; the per-primitive op index
+        // names those direct functions without scanning every op.
+        let direct: HashSet<FuncId> = pset
+            .iter()
+            .flat_map(|&p| prims.funcs_with_ops_of(p).iter().copied())
+            .collect();
         // `f` touches the Pset ⟺ some direct function is reachable from
         // `f` ⟺ `f` can reach a direct function — so the union of the
         // (memoized) reverse-reachability slices gives the same set

@@ -138,15 +138,12 @@ impl<'a> LockExplorer<'a> {
                 }
             }
         }
+        // `f` touches a lock ⟺ `f` can reach a direct function, so the
+        // union of the (memoized) reverse-reachability slices of the direct
+        // functions is the toucher set, with no forward walk per function.
         let mut touchers = HashSet::new();
-        for f in &module.funcs {
-            if analysis
-                .reachable_from(f.id)
-                .iter()
-                .any(|g| direct.contains(g))
-            {
-                touchers.insert(f.id);
-            }
+        for &d in &direct {
+            touchers.extend(analysis.reaching(d).iter().copied());
         }
         LockExplorer {
             module,
@@ -377,7 +374,6 @@ fn lockset_race(module: &Module, analysis: &Analysis, prims: &Primitives) -> Vec
         let n = f.blocks.len();
         let mut entry_sets: Vec<Option<HashSet<PrimId>>> = vec![None; n];
         entry_sets[0] = Some(HashSet::new());
-        let preds = golite_ir::dom::predecessors(f);
         // Iterate to fixpoint.
         for _ in 0..n + 2 {
             for b in 0..n {
@@ -395,7 +391,6 @@ fn lockset_race(module: &Module, analysis: &Analysis, prims: &Primitives) -> Vec
                 }
             }
         }
-        let _ = preds;
 
         // Record accesses with the lockset at their program point.
         for (bid, block) in f.iter_blocks() {
