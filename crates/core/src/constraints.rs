@@ -29,8 +29,9 @@
 //! encoding serves every group of a combination: each query is a
 //! [`minismt::Solver::solve_under`] call whose assumptions fix the guards.
 //! [`ChannelSolver`] manages that reuse (one persistent solver per channel,
-//! one [`minismt::Solver::push`] scope per combination) and also implements
-//! the fresh-per-query strategies used for differential testing.
+//! one [`minismt::Solver::push`] scope per combination). A `Sat` answer is
+//! re-solved on a fresh solver (`solve_fresh`) so the witness and its
+//! step counts do not depend on the clauses earlier queries left behind.
 //!
 //! Mutexes were already rewritten into the channel view (`Lock` = send on a
 //! buffer-1 channel, `Unlock` = receive), so a single encoding covers both.
@@ -40,8 +41,7 @@ use crate::faults;
 use crate::paths::{Event, PathOp};
 use crate::primitives::{OpKind, PrimId, Primitives};
 use crate::resilience::Budget;
-use crate::telemetry::Telemetry;
-use minismt::{Atom, BoolVar, IntVar, SolveResult, Solver, SolverMode, Term};
+use minismt::{Atom, BoolVar, IntVar, SolveResult, Solver, Term};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Mutex;
 
@@ -69,58 +69,12 @@ pub enum Verdict {
     Unknown,
 }
 
-/// How the detector discharges its solver queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverStrategy {
-    /// One persistent watched-literal solver per channel; each combination
-    /// is a push/pop scope and each group query an assumption query that
-    /// reuses the combination's encoding and learned clauses. The default.
-    #[default]
-    Incremental,
-    /// A fresh watched-literal solver and encoding per query. The
-    /// differential baseline for the incremental strategy.
-    Fresh,
-    /// A fresh solver per query running the legacy rescan propagation
-    /// engine ([`minismt::SolverMode::Rescan`]).
-    Rescan,
-}
-
-impl SolverStrategy {
-    /// The [`minismt`] propagation engine this strategy runs.
-    pub fn engine_mode(self) -> SolverMode {
-        match self {
-            SolverStrategy::Incremental | SolverStrategy::Fresh => SolverMode::Watched,
-            SolverStrategy::Rescan => SolverMode::Rescan,
-        }
-    }
-
-    /// Parses a CLI-facing name.
-    pub fn parse(s: &str) -> Option<SolverStrategy> {
-        match s {
-            "incremental" => Some(SolverStrategy::Incremental),
-            "fresh" => Some(SolverStrategy::Fresh),
-            "rescan" => Some(SolverStrategy::Rescan),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for SolverStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SolverStrategy::Incremental => "incremental",
-            SolverStrategy::Fresh => "fresh",
-            SolverStrategy::Rescan => "rescan",
-        })
-    }
-}
-
 /// What a combination's encoding is queried for; controls whether
 /// default-select blocked-case constraints are asserted (the blocking
 /// queries need them, the reachability-only send-after-close queries
 /// keep the historical encoding without them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EncodingKind {
+enum EncodingKind {
     /// Blocking-group queries (`ΦR ∧ ΦB`).
     Group,
     /// Reachability-only queries (§6 send-after-close).
@@ -134,51 +88,53 @@ pub struct GroupCheck {
     pub verdict: Verdict,
     /// Solver effort for provenance/telemetry; `None` when the query was
     /// short-circuited before reaching the solver. For a `Blocking`
-    /// verdict under the incremental strategy these are the stats of the
-    /// canonical fresh re-solve, keeping provenance identical to the
-    /// fresh strategy.
+    /// verdict these are the stats of the canonical fresh re-solve, so
+    /// provenance does not depend on earlier queries.
     pub stats: Option<minismt::SolverStats>,
     /// Whether the query reused a previously built combination encoding.
     pub reused: bool,
 }
 
 /// One query: either a blocking-group check or a send-after-close pair.
-#[derive(Debug, Clone)]
-enum Query<'q> {
+#[derive(Debug, Clone, Copy)]
+pub enum Query<'q> {
+    /// Can these group members all block forever (`ΦR ∧ ΦB`)?
     Group(&'q [GroupMember]),
+    /// Can the send execute after the close (§6, `ΦR ∧ O_close < O_send`)?
     Pair {
+        /// The send on the channel.
         send: GroupMember,
+        /// The close of the same channel.
         close: GroupMember,
     },
+}
+
+impl Query<'_> {
+    /// The encoding this query runs against.
+    fn kind(&self) -> EncodingKind {
+        match self {
+            Query::Group(_) => EncodingKind::Group,
+            Query::Pair { .. } => EncodingKind::Reach,
+        }
+    }
 }
 
 /// The canonical structure of one query's encoding, modulo channel (and
 /// primitive) identity: primitives are renamed to their first-appearance
 /// index over the combination walk, and only verdict-relevant structure
 /// (event shapes, spawn links, buffer sizes, the guard assignment, the
-/// step limit, the engine mode) enters the key. Two queries with equal
-/// keys produce isomorphic encodings and therefore identical verdicts —
-/// full structural equality, never a bare hash, so a collision cannot
-/// produce a wrong verdict.
+/// step limit) enters the key. Two queries with equal keys produce
+/// isomorphic encodings and therefore identical verdicts — full structural
+/// equality, never a bare hash, so a collision cannot produce a wrong
+/// verdict.
 type CanonKey = Vec<u64>;
 
 /// Builds the [`CanonKey`] of one query from its pre-encoding inputs.
-fn canon_key(
-    prims: &Primitives,
-    combo: &Combo,
-    kind: EncodingKind,
-    query: &Query<'_>,
-    step_limit: u64,
-    mode: SolverMode,
-) -> CanonKey {
+fn canon_key(prims: &Primitives, combo: &Combo, query: &Query<'_>, step_limit: u64) -> CanonKey {
     let mut key: Vec<u64> = Vec::with_capacity(64);
-    key.push(match kind {
+    key.push(match query.kind() {
         EncodingKind::Group => 0,
         EncodingKind::Reach => 1,
-    });
-    key.push(match mode {
-        SolverMode::Watched => 0,
-        SolverMode::Rescan => 1,
     });
     key.push(step_limit);
 
@@ -329,19 +285,17 @@ struct Assumptions {
     kept_events: Vec<(usize, usize)>,
 }
 
-/// Per-channel solving context: owns the persistent incremental solver (if
-/// the strategy uses one) and the telemetry counters for encoding reuse.
+/// Per-channel solving context: owns the persistent incremental solver and
+/// the telemetry counters for encoding reuse.
+///
+/// A combination's encoding is built lazily, by its first query that
+/// misses the cross-channel cache (so fully shared combinations never pay
+/// for an encoding at all), and lives until [`ChannelSolver::end_combo`].
 #[derive(Debug)]
 pub struct ChannelSolver<'p> {
     prims: &'p Primitives,
-    strategy: SolverStrategy,
     solver: Option<Solver>,
     enc: Option<Encoding>,
-    /// Query kind declared by [`ChannelSolver::begin_combo`]; the actual
-    /// encoding is built lazily on the first query that misses the
-    /// cross-channel cache, so fully shared combinations never pay for
-    /// an encoding at all.
-    pending_kind: Option<EncodingKind>,
     base_clauses: usize,
     combo_queries: u64,
     /// Cross-channel verdict cache; `None` disables sharing.
@@ -358,23 +312,20 @@ pub struct ChannelSolver<'p> {
 
 impl<'p> ChannelSolver<'p> {
     /// Creates a context for one channel's queries.
-    pub fn new(prims: &'p Primitives, strategy: SolverStrategy) -> ChannelSolver<'p> {
-        Self::with_cache(prims, strategy, None)
+    pub fn new(prims: &'p Primitives) -> ChannelSolver<'p> {
+        Self::with_cache(prims, None)
     }
 
     /// [`ChannelSolver::new`] with an optional cross-channel verdict
     /// cache shared by every channel of the session.
     pub fn with_cache(
         prims: &'p Primitives,
-        strategy: SolverStrategy,
         cache: Option<&'p EncodingCache>,
     ) -> ChannelSolver<'p> {
         ChannelSolver {
             prims,
-            strategy,
             solver: None,
             enc: None,
-            pending_kind: None,
             base_clauses: 0,
             combo_queries: 0,
             cache,
@@ -384,29 +335,13 @@ impl<'p> ChannelSolver<'p> {
         }
     }
 
-    /// Opens a combination for the incremental strategy. The encoding
-    /// itself is built lazily by the first cache-missing query (see
-    /// [`ChannelSolver::ensure_encoding`]); the fresh strategies defer
-    /// everything to the query.
-    pub fn begin_combo(&mut self, _combo: &Combo, kind: EncodingKind) {
-        if self.strategy != SolverStrategy::Incremental {
-            return;
-        }
-        self.pending_kind = Some(kind);
-    }
-
     /// Builds the combination's shared guarded encoding into a fresh
-    /// push scope of the persistent solver, once per opened combination.
-    fn ensure_encoding(&mut self, combo: &Combo) {
+    /// push scope of the persistent solver, once per combination.
+    fn ensure_encoding(&mut self, combo: &Combo, kind: EncodingKind) {
         if self.enc.is_some() {
             return;
         }
-        let kind = self
-            .pending_kind
-            .expect("begin_combo must be called before incremental queries");
-        let solver = self
-            .solver
-            .get_or_insert_with(|| Solver::with_mode(SolverMode::Watched));
+        let solver = self.solver.get_or_insert_with(Solver::new);
         solver.push();
         let enc = build_encoding(solver, self.prims, combo, kind);
         self.base_clauses = solver.num_clauses();
@@ -415,9 +350,10 @@ impl<'p> ChannelSolver<'p> {
     }
 
     /// Closes the current combination, discarding its encoding scope (the
-    /// persistent solver survives for the next combination).
+    /// persistent solver survives for the next combination). Every query
+    /// between two calls must be on the same combination and of the same
+    /// [`Query`] variant.
     pub fn end_combo(&mut self) {
-        self.pending_kind = None;
         if self.enc.take().is_some() {
             if let Some(s) = self.solver.as_mut() {
                 s.pop();
@@ -425,49 +361,14 @@ impl<'p> ChannelSolver<'p> {
         }
     }
 
-    /// Checks one suspicious group of the current combination under a
-    /// cooperative [`Budget`] (see [`check_group_budgeted`] for the
-    /// rationing rules). Under the incremental strategy,
-    /// [`ChannelSolver::begin_combo`] must have been called for `combo`.
-    pub fn check_group(
+    /// Answers one query on the current combination under a cooperative
+    /// [`Budget`]: the query's step limit is rationed from the budget's
+    /// global step pool and its deadline is handed to the DPLL engine; an
+    /// already-expired budget short-circuits to [`Verdict::Unknown`]
+    /// without running the solver.
+    pub fn check(
         &mut self,
         combo: &Combo,
-        group: &[GroupMember],
-        step_limit: u64,
-        budget: &Budget,
-    ) -> GroupCheck {
-        self.run_query(
-            combo,
-            EncodingKind::Group,
-            Query::Group(group),
-            step_limit,
-            budget,
-        )
-    }
-
-    /// Checks one send-after-close pair of the current combination (§6):
-    /// can the send execute after the close (a runtime panic)?
-    pub fn check_send_after_close(
-        &mut self,
-        combo: &Combo,
-        send: GroupMember,
-        close: GroupMember,
-        step_limit: u64,
-        budget: &Budget,
-    ) -> GroupCheck {
-        self.run_query(
-            combo,
-            EncodingKind::Reach,
-            Query::Pair { send, close },
-            step_limit,
-            budget,
-        )
-    }
-
-    fn run_query(
-        &mut self,
-        combo: &Combo,
-        kind: EncodingKind,
         query: Query<'_>,
         step_limit: u64,
         budget: &Budget,
@@ -478,17 +379,10 @@ impl<'p> ChannelSolver<'p> {
         // draws, breaking the reproducible fault schedule).
         let shareable = self.cache.is_some() && !budget.is_active() && !faults::armed();
         if !shareable {
-            return self.run_query_uncached(combo, kind, query, step_limit, budget);
+            return self.check_uncached(combo, query, step_limit, budget);
         }
         let cache = self.cache.expect("checked above");
-        let key = canon_key(
-            self.prims,
-            combo,
-            kind,
-            &query,
-            step_limit,
-            self.strategy.engine_mode(),
-        );
+        let key = canon_key(self.prims, combo, &query, step_limit);
         match cache.lookup(&key) {
             Some(false) => {
                 // A structurally identical query was safe; so is this one.
@@ -503,19 +397,11 @@ impl<'p> ChannelSolver<'p> {
                 // Blocking: the verdict is shared, but the witness and
                 // provenance must name *this* channel's events, so they
                 // are re-derived by the canonical fresh solve — the exact
-                // code path every strategy uses for a Blocking report,
-                // which keeps reports byte-identical with sharing off.
+                // code path a solved Blocking report takes, which keeps
+                // reports byte-identical with sharing off.
                 self.encodings_shared += 1;
-                let (verdict, stats) = solve_fresh(
-                    self.prims,
-                    self.strategy.engine_mode(),
-                    combo,
-                    kind,
-                    &query,
-                    step_limit,
-                    budget,
-                    None,
-                );
+                let (verdict, stats) =
+                    solve_fresh(self.prims, combo, &query, step_limit, budget, None);
                 GroupCheck {
                     verdict,
                     stats,
@@ -523,7 +409,7 @@ impl<'p> ChannelSolver<'p> {
                 }
             }
             None => {
-                let check = self.run_query_uncached(combo, kind, query, step_limit, budget);
+                let check = self.check_uncached(combo, query, step_limit, budget);
                 match check.verdict {
                     Verdict::Safe => cache.store(key, false),
                     Verdict::Blocking(_) => cache.store(key, true),
@@ -534,10 +420,9 @@ impl<'p> ChannelSolver<'p> {
         }
     }
 
-    fn run_query_uncached(
+    fn check_uncached(
         &mut self,
         combo: &Combo,
-        kind: EncodingKind,
         query: Query<'_>,
         step_limit: u64,
         budget: &Budget,
@@ -564,32 +449,13 @@ impl<'p> ChannelSolver<'p> {
         // fault schedule.
         let fault = faults::solver_fault_threshold();
 
-        if self.strategy != SolverStrategy::Incremental {
-            let (verdict, stats) = solve_fresh(
-                self.prims,
-                self.strategy.engine_mode(),
-                combo,
-                kind,
-                &query,
-                granted,
-                budget,
-                fault,
-            );
-            let spent = stats.map(|s| s.steps).unwrap_or(0);
-            budget.refund(granted.saturating_sub(spent));
-            return GroupCheck {
-                verdict,
-                stats,
-                reused: false,
-            };
-        }
-
-        self.ensure_encoding(combo);
+        self.ensure_encoding(combo, query.kind());
         let assume = {
             let enc = self.enc.as_ref().expect("ensure_encoding built it");
             debug_assert_eq!(
-                enc.kind, kind,
-                "combo was opened for a different query kind"
+                enc.kind,
+                query.kind(),
+                "combo was encoded for a different query kind"
             );
             assumptions_for(enc, combo, &query)
         };
@@ -636,23 +502,14 @@ impl<'p> ChannelSolver<'p> {
                 // Canonical witness solve: learned-clause retention makes the
                 // incremental model and step counts depend on query history,
                 // so the witness and provenance of a Blocking verdict are
-                // re-derived from a fresh solver running the exact
-                // fresh-strategy code path. The verdict itself is
+                // re-derived from a fresh solver. The verdict itself is
                 // history-independent (the search is complete), so Sat here
                 // is Sat there; only an exhausted re-solve budget can
                 // diverge, in which case the incremental model backs the
                 // witness.
                 let enc = self.enc.as_ref().expect("encoding checked above");
-                let (verdict, stats) = solve_fresh(
-                    self.prims,
-                    SolverMode::Watched,
-                    combo,
-                    kind,
-                    &query,
-                    granted,
-                    budget,
-                    fault,
-                );
+                let (verdict, stats) =
+                    solve_fresh(self.prims, combo, &query, granted, budget, fault);
                 let canon_steps = stats.map(|s| s.steps).unwrap_or(0);
                 budget.refund(granted.saturating_sub(inc_stats.steps + canon_steps));
                 match verdict {
@@ -675,25 +532,23 @@ impl<'p> ChannelSolver<'p> {
 }
 
 /// One fresh-solver query: builds the guarded encoding from scratch and
-/// solves under the query's guard assumptions. This is both the fresh
-/// strategy's query path and the incremental strategy's canonical witness
-/// path, which is what keeps the two strategies' reports byte-identical.
-#[allow(clippy::too_many_arguments)]
+/// solves under the query's guard assumptions. This is the canonical
+/// witness path: every `Blocking` verdict's witness and provenance come
+/// from here, so they are independent of the persistent solver's history
+/// and of cache sharing.
 fn solve_fresh(
     prims: &Primitives,
-    mode: SolverMode,
     combo: &Combo,
-    kind: EncodingKind,
     query: &Query<'_>,
     granted: u64,
     budget: &Budget,
     fault: Option<u64>,
 ) -> (Verdict, Option<minismt::SolverStats>) {
-    let mut solver = Solver::with_mode(mode);
+    let mut solver = Solver::new();
     solver.set_step_limit(granted);
     solver.set_deadline(budget.deadline());
     solver.set_step_fault(fault);
-    let enc = build_encoding(&mut solver, prims, combo, kind);
+    let enc = build_encoding(&mut solver, prims, combo, query.kind());
     let Some(assume) = assumptions_for(&enc, combo, query) else {
         return (Verdict::Safe, None);
     };
@@ -1159,61 +1014,6 @@ fn witness_timeline(
     timeline.into_iter().map(|(_, d)| d).collect()
 }
 
-/// Builds and solves `ΦR ∧ ΦB` for `combo` with the given suspicious group.
-pub fn check_group(
-    prims: &Primitives,
-    combo: &Combo,
-    group: &[GroupMember],
-    step_limit: u64,
-) -> Verdict {
-    check_group_recorded(prims, combo, group, step_limit, None)
-}
-
-/// [`check_group`], additionally recording solver effort into `telemetry`.
-pub fn check_group_recorded(
-    prims: &Primitives,
-    combo: &Combo,
-    group: &[GroupMember],
-    step_limit: u64,
-    telemetry: Option<&Telemetry>,
-) -> Verdict {
-    let (verdict, stats) = check_group_traced(prims, combo, group, step_limit);
-    if let (Some(t), Some(s)) = (telemetry, stats) {
-        t.add_solver_stats(s);
-    }
-    verdict
-}
-
-/// [`check_group`], additionally returning the query's [`minismt`] effort
-/// and timing stats (for tracing, histograms, and report provenance).
-/// `None` when the query was short-circuited before reaching the solver.
-pub fn check_group_traced(
-    prims: &Primitives,
-    combo: &Combo,
-    group: &[GroupMember],
-    step_limit: u64,
-) -> (Verdict, Option<minismt::SolverStats>) {
-    check_group_budgeted(prims, combo, group, step_limit, &Budget::default())
-}
-
-/// [`check_group_traced`] under a cooperative [`Budget`]: the query's
-/// step limit is rationed from the budget's global step pool and its
-/// deadline is handed to the DPLL engine. An already-expired budget
-/// short-circuits to [`Verdict::Unknown`] without running the solver.
-/// With an inactive (default) budget this is exactly
-/// [`check_group_traced`].
-pub fn check_group_budgeted(
-    prims: &Primitives,
-    combo: &Combo,
-    group: &[GroupMember],
-    step_limit: u64,
-    budget: &Budget,
-) -> (Verdict, Option<minismt::SolverStats>) {
-    let mut cs = ChannelSolver::new(prims, SolverStrategy::Fresh);
-    let check = cs.check_group(combo, group, step_limit, budget);
-    (check.verdict, check.stats)
-}
-
 fn describe_event(prims: &Primitives, combo: &Combo, gi: usize, ei: usize) -> String {
     match &combo.gos[gi].path.events[ei] {
         Event::Op(op) => {
@@ -1234,65 +1034,6 @@ fn describe_event(prims: &Primitives, combo: &Combo, gi: usize, ei: usize) -> St
         Event::Spawn { target, .. } => format!("g{gi}:go(f{})", target.0),
         Event::Fact { value, .. } => format!("g{gi}:branch({value})"),
     }
-}
-
-/// §6 extension — the non-blocking misuse-of-channel query: can a send on
-/// `prim` execute *after* a close of the same channel (a runtime panic)?
-///
-/// The encoding reuses ΦR (reachability: every communication in the
-/// combination proceeds) and adds the panic constraint `O_close < O_send`
-/// as an assumption for the queried pair.
-pub fn check_send_after_close(
-    prims: &Primitives,
-    combo: &Combo,
-    send: GroupMember,
-    close: GroupMember,
-    step_limit: u64,
-) -> Verdict {
-    check_send_after_close_recorded(prims, combo, send, close, step_limit, None)
-}
-
-/// [`check_send_after_close`], additionally recording solver effort.
-pub fn check_send_after_close_recorded(
-    prims: &Primitives,
-    combo: &Combo,
-    send: GroupMember,
-    close: GroupMember,
-    step_limit: u64,
-    telemetry: Option<&Telemetry>,
-) -> Verdict {
-    let (verdict, stats) = check_send_after_close_traced(prims, combo, send, close, step_limit);
-    if let Some(t) = telemetry {
-        t.add_solver_stats(stats);
-    }
-    verdict
-}
-
-/// [`check_send_after_close`], additionally returning the query's solver
-/// stats (for tracing and provenance).
-pub fn check_send_after_close_traced(
-    prims: &Primitives,
-    combo: &Combo,
-    send: GroupMember,
-    close: GroupMember,
-    step_limit: u64,
-) -> (Verdict, minismt::SolverStats) {
-    check_send_after_close_budgeted(prims, combo, send, close, step_limit, &Budget::default())
-}
-
-/// [`check_send_after_close_traced`] under a cooperative [`Budget`]
-/// (see [`check_group_budgeted`] for the rationing rules).
-pub fn check_send_after_close_budgeted(
-    prims: &Primitives,
-    combo: &Combo,
-    send: GroupMember,
-    close: GroupMember,
-    step_limit: u64,
-    budget: &Budget,
-) -> (Verdict, minismt::SolverStats) {
-    let mut cs = ChannelSolver::new(prims, SolverStrategy::Fresh);
-    let check = cs.check_send_after_close(combo, send, close, step_limit, budget);
-    (check.verdict, check.stats.unwrap_or_default())
 }
 
 #[cfg(test)]
@@ -1362,15 +1103,24 @@ mod tests {
         })
     }
 
+    /// One query on a fresh per-channel context, as the detector issues
+    /// it for the first query of a combination.
+    fn check_one(prims: &Primitives, combo: &Combo, query: Query<'_>) -> Verdict {
+        let mut cs = ChannelSolver::new(prims);
+        let check = cs.check(combo, query, 100_000, &Budget::default());
+        cs.end_combo();
+        check.verdict
+    }
+
+    fn member(goroutine: usize, event: usize) -> GroupMember {
+        GroupMember { goroutine, event }
+    }
+
     #[test]
     fn orphan_send_blocks() {
         let (combo, prims) = combo_with(vec![], vec![op(PrimId(0), OpKind::Send, 9)]);
-        let group = [GroupMember {
-            goroutine: 1,
-            event: 0,
-        }];
         assert!(matches!(
-            check_group(&prims, &combo, &group, 100_000),
+            check_one(&prims, &combo, Query::Group(&[member(1, 0)])),
             Verdict::Blocking(_)
         ));
     }
@@ -1383,12 +1133,8 @@ mod tests {
             vec![op(PrimId(0), OpKind::Recv, 5)],
             vec![op(PrimId(0), OpKind::Send, 9)],
         );
-        let group = [GroupMember {
-            goroutine: 1,
-            event: 0,
-        }];
         assert!(matches!(
-            check_group(&prims, &combo, &group, 100_000),
+            check_one(&prims, &combo, Query::Group(&[member(1, 0)])),
             Verdict::Safe
         ));
     }
@@ -1400,12 +1146,8 @@ mod tests {
             vec![op(PrimId(0), OpKind::Close, 5)],
             vec![op(PrimId(0), OpKind::Recv, 9)],
         );
-        let group = [GroupMember {
-            goroutine: 1,
-            event: 0,
-        }];
         assert!(matches!(
-            check_group(&prims, &combo, &group, 100_000),
+            check_one(&prims, &combo, Query::Group(&[member(1, 0)])),
             Verdict::Safe
         ));
     }
@@ -1423,12 +1165,8 @@ mod tests {
             ],
         );
         // Group = second send: first send matches the recv, second blocks.
-        let group = [GroupMember {
-            goroutine: 1,
-            event: 1,
-        }];
         assert!(matches!(
-            check_group(&prims, &combo, &group, 100_000),
+            check_one(&prims, &combo, Query::Group(&[member(1, 1)])),
             Verdict::Blocking(_)
         ));
     }
@@ -1443,97 +1181,75 @@ mod tests {
             vec![op(PrimId(0), OpKind::Send, 9)],
             1,
         );
-        let verdict = check_send_after_close(
-            &prims,
-            &combo,
-            GroupMember {
-                goroutine: 1,
-                event: 0,
-            },
-            GroupMember {
-                goroutine: 0,
-                event: 1,
-            },
-            100_000,
-        );
-        assert!(matches!(verdict, Verdict::Blocking(_)));
+        let query = Query::Pair {
+            send: member(1, 0),
+            close: member(0, 1),
+        };
+        assert!(matches!(
+            check_one(&prims, &combo, query),
+            Verdict::Blocking(_)
+        ));
     }
 
-    /// Every strategy must agree on verdicts, and the incremental strategy
-    /// must produce byte-identical witnesses to the fresh strategy.
+    /// The persistent per-channel solver, answering every query of a
+    /// combination in turn (learned clauses retained between them), must
+    /// agree with a fresh solve of each query alone: the same verdict and,
+    /// for a blocking one, the same witness and step counts.
     #[test]
-    fn strategies_agree_on_hand_built_combos() {
-        let cases: Vec<(Combo, Primitives, Vec<GroupMember>)> = vec![
-            {
-                let (c, p) = combo_with(vec![], vec![op(PrimId(0), OpKind::Send, 9)]);
-                (
-                    c,
-                    p,
-                    vec![GroupMember {
-                        goroutine: 1,
-                        event: 0,
-                    }],
-                )
-            },
-            {
-                let (c, p) = combo_with(
-                    vec![op(PrimId(0), OpKind::Recv, 5)],
-                    vec![op(PrimId(0), OpKind::Send, 9)],
-                );
-                (
-                    c,
-                    p,
-                    vec![GroupMember {
-                        goroutine: 1,
-                        event: 0,
-                    }],
-                )
-            },
-            {
-                let (c, p) = combo_with(
-                    vec![op(PrimId(0), OpKind::Recv, 5)],
-                    vec![
-                        op(PrimId(0), OpKind::Send, 9),
-                        op(PrimId(0), OpKind::Send, 10),
-                    ],
-                );
-                (
-                    c,
-                    p,
-                    vec![GroupMember {
-                        goroutine: 1,
-                        event: 1,
-                    }],
-                )
-            },
+    fn channel_solver_agrees_with_per_query_fresh_solves() {
+        let label = |v: &Verdict| match v {
+            Verdict::Blocking(w) => format!("blocking:{w:?}"),
+            Verdict::Safe => "safe".into(),
+            Verdict::Unknown => "unknown".into(),
+        };
+        let groups: [&[GroupMember]; 4] = [
+            &[member(1, 0)],
+            &[member(1, 1)],
+            &[member(0, 1)],
+            &[member(0, 1), member(1, 1)],
         ];
-        for (combo, prims, group) in &cases {
-            let run = |strategy: SolverStrategy| {
-                let mut cs = ChannelSolver::new(prims, strategy);
-                cs.begin_combo(combo, EncodingKind::Group);
-                let check = cs.check_group(combo, group, 100_000, &Budget::default());
-                cs.end_combo();
-                check
-            };
-            let inc = run(SolverStrategy::Incremental);
-            let fresh = run(SolverStrategy::Fresh);
-            let rescan = run(SolverStrategy::Rescan);
-            let label = |v: &Verdict| match v {
-                Verdict::Blocking(w) => format!("blocking:{w:?}"),
-                Verdict::Safe => "safe".into(),
-                Verdict::Unknown => "unknown".into(),
-            };
-            assert_eq!(
-                label(&inc.verdict),
-                label(&fresh.verdict),
-                "incremental vs fresh diverged"
-            );
-            assert_eq!(
-                matches!(rescan.verdict, Verdict::Safe),
-                matches!(fresh.verdict, Verdict::Safe),
-                "rescan verdict diverged"
-            );
+        let combos = [
+            combo_with(
+                vec![op(PrimId(0), OpKind::Recv, 5)],
+                vec![
+                    op(PrimId(0), OpKind::Send, 9),
+                    op(PrimId(0), OpKind::Send, 10),
+                ],
+            ),
+            combo_with_cap(
+                vec![op(PrimId(0), OpKind::Send, 5)],
+                vec![
+                    op(PrimId(0), OpKind::Send, 9),
+                    op(PrimId(0), OpKind::Recv, 10),
+                ],
+                1,
+            ),
+            combo_with(
+                vec![op(PrimId(0), OpKind::Close, 5)],
+                vec![
+                    op(PrimId(0), OpKind::Recv, 9),
+                    op(PrimId(0), OpKind::Recv, 10),
+                ],
+            ),
+        ];
+        let budget = Budget::default();
+        let mut blocking = 0;
+        for (combo, prims) in &combos {
+            let mut cs = ChannelSolver::new(prims);
+            for group in groups {
+                let query = Query::Group(group);
+                let inc = cs.check(combo, query, 100_000, &budget);
+                let (fresh, fresh_stats) =
+                    solve_fresh(prims, combo, &query, 100_000, &budget, None);
+                assert_eq!(label(&inc.verdict), label(&fresh), "group {group:?}");
+                if matches!(fresh, Verdict::Blocking(_)) {
+                    blocking += 1;
+                    assert_eq!(inc.stats.map(|s| s.steps), fresh_stats.map(|s| s.steps));
+                }
+            }
+            cs.end_combo();
         }
+        assert!(blocking > 0, "the cases must include a blocking query");
     }
 
     /// Reusing a combination encoding across that combination's groups
@@ -1547,26 +1263,10 @@ mod tests {
                 op(PrimId(0), OpKind::Send, 10),
             ],
         );
-        let mut cs = ChannelSolver::new(&prims, SolverStrategy::Incremental);
-        cs.begin_combo(&combo, EncodingKind::Group);
-        let g0 = cs.check_group(
-            &combo,
-            &[GroupMember {
-                goroutine: 1,
-                event: 0,
-            }],
-            100_000,
-            &Budget::default(),
-        );
-        let g1 = cs.check_group(
-            &combo,
-            &[GroupMember {
-                goroutine: 1,
-                event: 1,
-            }],
-            100_000,
-            &Budget::default(),
-        );
+        let mut cs = ChannelSolver::new(&prims);
+        let budget = Budget::default();
+        let g0 = cs.check(&combo, Query::Group(&[member(1, 0)]), 100_000, &budget);
+        let g1 = cs.check(&combo, Query::Group(&[member(1, 1)]), 100_000, &budget);
         cs.end_combo();
         assert!(!g0.reused);
         assert!(g1.reused);

@@ -1,9 +1,12 @@
-//! The BMOC detector driver (Algorithm 1 of the paper).
+//! The per-channel detector driver (Algorithm 1 of the paper).
 //!
 //! For every channel: compute its scope and Pset (disentangling, §3.2),
 //! enumerate path combinations for the goroutines in scope (§3.3), compute
-//! suspicious groups, and ask the constraint solver whether the group can
-//! block forever (§3.4). The `disentangle` switch exists solely for the
+//! the combination's candidates, and ask the constraint solver about each
+//! (§3.4). A `ChannelQuery` decides what is asked: whether a suspicious
+//! group can block forever (BMOC), or whether a send can execute after a
+//! close of the same channel (the §6 send-on-closed extension). Both run
+//! through the same driver. The `disentangle` switch exists solely for the
 //! paper's ablation (§5.2, ">115× slowdown without disentangling"): when
 //! off, every channel is analyzed from `main` with *all* primitives in its
 //! Pset.
@@ -15,11 +18,11 @@
 //! cross-channel deduplication. One channel's detection is fully
 //! sequential, so `jobs = 1` and `jobs = N` produce identical reports.
 
-use crate::constraints::{ChannelSolver, EncodingKind, SolverStrategy, Verdict};
+use crate::constraints::{ChannelSolver, Query, Verdict};
 use crate::disentangle::{influences, pset};
 use crate::faults;
 use crate::paths::{Enumerator, Event, Limits, Path};
-use crate::primitives::{OpKind, PrimId};
+use crate::primitives::{OpKind, PrimId, Primitive, Primitives};
 use crate::report::{BugKind, BugReport, OpRef, Provenance};
 use crate::resilience::{
     catch_isolated, ladder_limits, Budget, Incident, IncidentKind, LADDER_RUNGS,
@@ -79,11 +82,6 @@ pub struct DetectorConfig {
     pub max_group_size: usize,
     /// Solver step budget per query.
     pub solver_steps: u64,
-    /// How solver queries are discharged: one incremental solver per
-    /// channel reusing each combination's encoding across its groups (the
-    /// default), or a fresh solver per query (`fresh`/`rescan`, the
-    /// differential baselines). All strategies produce identical reports.
-    pub solver_strategy: SolverStrategy,
     /// Worker threads sharding the per-channel detection; `0` (the
     /// default) uses all available cores. Reports are identical for every
     /// value.
@@ -108,8 +106,8 @@ pub struct DetectorConfig {
     /// Cross-channel encoding reuse (the default): structurally identical
     /// channels share solver verdicts through the session's
     /// [`EncodingCache`](crate::constraints::EncodingCache). Reports are
-    /// byte-identical either way; `--no-share-encodings` turns it off for
-    /// differential testing. Sharing is automatically bypassed while a
+    /// byte-identical either way; turning it off is the reference the
+    /// tests compare against. Sharing is automatically bypassed while a
     /// budget is active or fault injection is armed.
     pub share_encodings: bool,
     /// Observability context (`--events-out`, the batch flight recorder).
@@ -133,7 +131,6 @@ impl Default for DetectorConfig {
             max_goroutines: 5,
             max_group_size: 2,
             solver_steps: 400_000,
-            solver_strategy: SolverStrategy::default(),
             jobs: 0,
             timeout: None,
             channel_timeout: None,
@@ -152,6 +149,51 @@ pub(crate) type GroupKey = (BugKind, Option<Loc>, Vec<Loc>);
 /// One channel's detection result: findings keyed for the cross-channel
 /// merge, plus the incident (panic or exhausted budget), if any.
 pub(crate) type ChannelOutcome = (Vec<(GroupKey, BugReport)>, Option<Incident>);
+
+/// What the per-channel driver asks about each channel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ChannelQuery {
+    /// BMOC (§3.4): can a suspicious group of operations block forever?
+    Blocking,
+    /// The §6 extension: can a send execute after a close of the same
+    /// channel (a runtime panic)? The bug constraint `O_close < O_send`
+    /// over the same ΦR.
+    SendOnClosed,
+}
+
+impl ChannelQuery {
+    /// Whether `chan` is analyzed at all: channels of dynamic capacity are
+    /// not modeled, and a send-on-closed needs both a send and a close.
+    fn asks_about(self, prims: &Primitives, chan: &Primitive) -> bool {
+        chan.buffer_size().is_some()
+            && match self {
+                ChannelQuery::Blocking => true,
+                ChannelQuery::SendOnClosed => [OpKind::Send, OpKind::Close]
+                    .iter()
+                    .all(|&k| prims.ops_of(chan.id).any(|o| o.kind == k)),
+            }
+    }
+
+    /// The solver query for one candidate: a blocking group, or a
+    /// `[send, close]` pair.
+    fn solver_query(self, cand: &[GroupMember]) -> Query<'_> {
+        match self {
+            ChannelQuery::Blocking => Query::Group(cand),
+            ChannelQuery::SendOnClosed => Query::Pair {
+                send: cand[0],
+                close: cand[1],
+            },
+        }
+    }
+
+    /// The provenance label of a positive verdict.
+    fn verdict_label(self) -> &'static str {
+        match self {
+            ChannelQuery::Blocking => "blocking",
+            ChannelQuery::SendOnClosed => "panic-schedule",
+        }
+    }
+}
 
 /// Resolves the worker count: `0` means every available core, and there is
 /// never a reason to spawn more workers than work items.
@@ -172,6 +214,18 @@ impl<'m> AnalysisSession<'m> {
     /// Channels are processed by `config.jobs` workers; the merge is
     /// deterministic, so the result is independent of the worker count.
     pub fn detect_bmoc(&self, config: &DetectorConfig) -> Vec<BugReport> {
+        self.detect_channels(ChannelQuery::Blocking, config)
+    }
+
+    /// §6 extension: detects *non-blocking* misuse of channels — a send
+    /// that some interleaving can execute after a close of the same channel
+    /// (a guaranteed runtime panic).
+    pub fn detect_send_on_closed(&self, config: &DetectorConfig) -> Vec<BugReport> {
+        self.detect_channels(ChannelQuery::SendOnClosed, config)
+    }
+
+    /// The per-channel driver shared by every [`ChannelQuery`].
+    fn detect_channels(&self, query: ChannelQuery, config: &DetectorConfig) -> Vec<BugReport> {
         // Force the shared disentangling artifacts once, outside the
         // workers, so their cost is attributed (and paid) exactly once.
         if config.disentangle {
@@ -181,7 +235,7 @@ impl<'m> AnalysisSession<'m> {
         let channels: Vec<PrimId> = self
             .prims
             .channels()
-            .filter(|c| c.buffer_size().is_some()) // dynamic capacity: not modeled
+            .filter(|c| query.asks_about(&self.prims, c))
             .map(|c| c.id)
             .collect();
         self.telemetry
@@ -193,7 +247,7 @@ impl<'m> AnalysisSession<'m> {
             let mut lane = self.tracer().lane(1, "bmoc-worker-0");
             channels
                 .iter()
-                .map(|&c| self.detect_channel(c, config, &budget, &mut lane))
+                .map(|&c| self.detect_channel(query, c, config, &budget, &mut lane))
                 .collect()
         } else {
             let slots: Vec<Mutex<ChannelOutcome>> = channels
@@ -213,7 +267,8 @@ impl<'m> AnalysisSession<'m> {
                             if i >= channels.len() {
                                 break;
                             }
-                            let found = self.detect_channel(channels[i], config, budget, &mut lane);
+                            let found =
+                                self.detect_channel(query, channels[i], config, budget, &mut lane);
                             // Panics are contained inside `detect_channel`,
                             // so a poisoned slot can only hold the default
                             // value; recover it rather than cascading.
@@ -259,6 +314,7 @@ impl<'m> AnalysisSession<'m> {
     /// cannot take down the run or the other workers.
     fn detect_channel(
         &self,
+        query: ChannelQuery,
         chan: PrimId,
         config: &DetectorConfig,
         budget: &Budget,
@@ -270,9 +326,14 @@ impl<'m> AnalysisSession<'m> {
             "bmoc_channel",
             vec![("chan", ArgValue::from(chan_name.as_str()))],
         );
-        let attempt = catch_isolated(|| match config.warm.as_deref() {
+        // Warm replay records BMOC findings only.
+        let warm = config
+            .warm
+            .as_deref()
+            .filter(|_| query == ChannelQuery::Blocking);
+        let attempt = catch_isolated(|| match warm {
             Some(warm) => self.detect_channel_warm(warm, chan, &chan_name, config, budget, lane),
-            None => self.detect_channel_laddered(chan, &chan_name, config, budget, lane),
+            None => self.detect_channel_laddered(query, chan, &chan_name, config, budget, lane),
         });
         let (found, incident) = match attempt {
             Ok(outcome) => {
@@ -345,7 +406,14 @@ impl<'m> AnalysisSession<'m> {
         if !config.disentangle || budget.tightened(config.channel_timeout).is_active() {
             // No disentangling metadata to gate replay on, or a live
             // budget (whose draining is stateful): run cold, no harvest.
-            return self.detect_channel_laddered(chan, chan_name, config, budget, lane);
+            return self.detect_channel_laddered(
+                ChannelQuery::Blocking,
+                chan,
+                chan_name,
+                config,
+                budget,
+                lane,
+            );
         }
         let prim = &self.prims.all[chan.0];
         let scopes = self.scopes();
@@ -369,7 +437,14 @@ impl<'m> AnalysisSession<'m> {
         let (outcome, replayed) = match replay {
             Some(outcome) => (outcome, true),
             None => (
-                self.detect_channel_laddered(chan, chan_name, config, budget, lane),
+                self.detect_channel_laddered(
+                    ChannelQuery::Blocking,
+                    chan,
+                    chan_name,
+                    config,
+                    budget,
+                    lane,
+                ),
                 false,
             ),
         };
@@ -396,6 +471,7 @@ impl<'m> AnalysisSession<'m> {
     /// force this is a single rung-0 run — the legacy behavior.
     fn detect_channel_laddered(
         &self,
+        query: ChannelQuery,
         chan: PrimId,
         chan_name: &str,
         config: &DetectorConfig,
@@ -406,6 +482,7 @@ impl<'m> AnalysisSession<'m> {
         let chan_budget = budget.tightened(config.channel_timeout);
         if !chan_budget.is_active() {
             let (found, _) = self.detect_channel_pipeline(
+                query,
                 chan,
                 chan_name,
                 config,
@@ -421,6 +498,7 @@ impl<'m> AnalysisSession<'m> {
         for rung in 0..LADDER_RUNGS {
             let limits = ladder_limits(&config.limits, rung);
             let (found, exhausted) = self.detect_channel_pipeline(
+                query,
                 chan,
                 chan_name,
                 config,
@@ -459,14 +537,16 @@ impl<'m> AnalysisSession<'m> {
     }
 
     /// The full detection pipeline for one channel at one ladder rung:
-    /// disentangle, enumerate, group, solve. Pure with respect to the
-    /// session (telemetry and the caller's trace lane aside), so workers
-    /// can run it concurrently; findings carry their group key for the
-    /// cross-channel merge. The second return value reports whether the
-    /// budget cut the work short (always `false` with an inactive budget).
+    /// disentangle, enumerate, collect the query's candidates, solve. Pure
+    /// with respect to the session (telemetry and the caller's trace lane
+    /// aside), so workers can run it concurrently; findings carry their
+    /// group key for the cross-channel merge. The second return value
+    /// reports whether the budget cut the work short (always `false` with
+    /// an inactive budget).
     #[allow(clippy::too_many_arguments)]
     fn detect_channel_pipeline(
         &self,
+        query: ChannelQuery,
         chan: PrimId,
         chan_name: &str,
         config: &DetectorConfig,
@@ -537,21 +617,20 @@ impl<'m> AnalysisSession<'m> {
         let mut groups_checked = 0u64;
         let mut local_seen: HashSet<GroupKey> = HashSet::new();
         let mut found: Vec<(GroupKey, BugReport)> = Vec::new();
-        // One solving context for the whole channel: under the incremental
-        // strategy the solver persists across combinations and each
-        // combination's encoding is built once, in a push/pop scope, then
-        // shared by every group query on it. The session's cross-channel
-        // cache extends that reuse to structurally identical channels.
+        // One solving context for the whole channel: the solver persists
+        // across combinations and each combination's encoding is built
+        // once, in a push/pop scope, then shared by every query on it. The
+        // session's cross-channel cache extends that reuse to structurally
+        // identical channels.
         let cache = config.share_encodings.then(|| self.encoding_cache());
-        let mut solver = ChannelSolver::with_cache(&self.prims, config.solver_strategy, cache);
+        let mut solver = ChannelSolver::with_cache(&self.prims, cache);
         for combo in &combos {
             if budget.is_active() && budget.expired() {
                 exhausted = true;
                 break;
             }
-            let mut combo_open = false;
-            for group in self.suspicious_groups(combo, chan, config.max_group_size) {
-                let key = self.group_key(combo, &group);
+            for group in self.candidates(query, combo, chan, config.max_group_size) {
+                let key = self.group_key(query, combo, &group);
                 if local_seen.contains(&key) {
                     continue;
                 }
@@ -559,11 +638,12 @@ impl<'m> AnalysisSession<'m> {
                 groups_checked += 1;
                 lane.begin("solve", vec![("group", ArgValue::U64(groups_checked))]);
                 let check = self.telemetry.time(Stage::Constraints, || {
-                    if !combo_open {
-                        solver.begin_combo(combo, EncodingKind::Group);
-                        combo_open = true;
-                    }
-                    solver.check_group(combo, &group, config.solver_steps, budget)
+                    solver.check(
+                        combo,
+                        query.solver_query(&group),
+                        config.solver_steps,
+                        budget,
+                    )
                 });
                 let (verdict, solver_stats) = (check.verdict, check.stats);
                 if let Some(s) = solver_stats {
@@ -585,7 +665,14 @@ impl<'m> AnalysisSession<'m> {
                         local_seen.insert(key.clone());
                         self.telemetry.add(Counter::ReportsEmitted, 1);
                         lane.instant("report_emitted", vec![("chan", ArgValue::from(chan_name))]);
-                        let mut report = self.make_report(chan, combo, &group, witness, root);
+                        let mut report = match query {
+                            ChannelQuery::Blocking => {
+                                self.make_report(chan, combo, &group, witness, root)
+                            }
+                            ChannelQuery::SendOnClosed => {
+                                self.make_send_on_closed_report(chan, combo, &group, witness)
+                            }
+                        };
                         let s = solver_stats.unwrap_or_default();
                         report.provenance = Some(Provenance {
                             channel: chan_name.to_string(),
@@ -594,7 +681,7 @@ impl<'m> AnalysisSession<'m> {
                             branches_pruned,
                             combos_tried: combos.len(),
                             groups_checked,
-                            solver_verdict: "blocking",
+                            solver_verdict: query.verdict_label(),
                             solver_steps: s.steps,
                             solver_decisions: s.decisions,
                             solver_conflicts: s.conflicts,
@@ -613,9 +700,7 @@ impl<'m> AnalysisSession<'m> {
                     }
                 }
             }
-            if combo_open {
-                solver.end_combo();
-            }
+            solver.end_combo();
         }
         self.telemetry
             .add(Counter::SolverEncodingsReused, solver.encodings_reused);
@@ -725,6 +810,40 @@ impl<'m> AnalysisSession<'m> {
 
     // ----------------------------------------------------------- grouping
 
+    /// The candidates `query` asks about in one combination: suspicious
+    /// groups, or every `[send, close]` pair of `chan`'s sends and closes.
+    fn candidates(
+        &self,
+        query: ChannelQuery,
+        combo: &Combo,
+        chan: PrimId,
+        max_group_size: usize,
+    ) -> Vec<Vec<GroupMember>> {
+        match query {
+            ChannelQuery::Blocking => self.suspicious_groups(combo, chan, max_group_size),
+            ChannelQuery::SendOnClosed => {
+                let mut sends = Vec::new();
+                let mut closes = Vec::new();
+                for (goroutine, g) in combo.gos.iter().enumerate() {
+                    for (event, e) in g.path.events.iter().enumerate() {
+                        if let Event::Op(op) = e {
+                            let member = GroupMember { goroutine, event };
+                            match op.kind {
+                                OpKind::Send if op.prim == chan => sends.push(member),
+                                OpKind::Close if op.prim == chan => closes.push(member),
+                                _ => {}
+                            }
+                        }
+                    }
+                }
+                sends
+                    .iter()
+                    .flat_map(|&s| closes.iter().map(move |&c| vec![s, c]))
+                    .collect()
+            }
+        }
+    }
+
     /// Suspicious groups (Algorithm 1, line 15): up to `max_size` blocking
     /// operations from distinct goroutines, at least one on channel `c`,
     /// that cannot unblock each other.
@@ -805,7 +924,9 @@ impl<'m> AnalysisSession<'m> {
         false
     }
 
-    fn group_key(&self, combo: &Combo, group: &[GroupMember]) -> GroupKey {
+    /// The cross-channel deduplication key of one candidate: a blocking
+    /// group's sorted operation sites, or a pair's `[send, close]` sites.
+    fn group_key(&self, query: ChannelQuery, combo: &Combo, group: &[GroupMember]) -> GroupKey {
         let mut locs: Vec<Loc> = group
             .iter()
             .filter_map(|m| match &combo.gos[m.goroutine].path.events[m.event] {
@@ -814,8 +935,13 @@ impl<'m> AnalysisSession<'m> {
                 _ => None,
             })
             .collect();
-        locs.sort_unstable();
-        (BugKind::BmocChannel, None, locs)
+        match query {
+            ChannelQuery::Blocking => {
+                locs.sort_unstable();
+                (BugKind::BmocChannel, None, locs)
+            }
+            ChannelQuery::SendOnClosed => (BugKind::SendOnClosedChannel, None, locs),
+        }
     }
 
     fn make_report(
@@ -885,273 +1011,39 @@ impl<'m> AnalysisSession<'m> {
             provenance: None,
         }
     }
-}
 
-impl<'m> AnalysisSession<'m> {
-    /// §6 extension: detects *non-blocking* misuse of channels — a send
-    /// that some interleaving can execute after a close of the same channel
-    /// (a guaranteed runtime panic). The paper describes this as a new bug
-    /// constraint `O_close < O_send` over the same ΦR machinery.
-    pub fn detect_send_on_closed(&self, config: &DetectorConfig) -> Vec<BugReport> {
-        let dg = self.dependency_graph();
-        let scopes = self.scopes();
-        let budget = self.run_budget(config).clone();
-        let mut lane = self.tracer().lane(0, "main");
-        let mut reports = Vec::new();
-        let mut seen: HashSet<(Loc, Loc)> = HashSet::new();
-
-        for chan in self.prims.channels() {
-            if chan.buffer_size().is_none() {
-                continue;
-            }
-            // Fast filter: the channel must have both a send and a close.
-            let has_send = self
-                .prims
-                .ops_of(chan.id)
-                .any(|o| o.kind == crate::primitives::OpKind::Send);
-            let has_close = self
-                .prims
-                .ops_of(chan.id)
-                .any(|o| o.kind == crate::primitives::OpKind::Close);
-            if !has_send || !has_close {
-                continue;
-            }
-            let started = Instant::now();
-            let chan_budget = budget.tightened(config.channel_timeout);
-            lane.begin(
-                "bmoc_channel",
-                vec![("chan", ArgValue::from(chan.name.as_str()))],
-            );
-            // Same fault isolation as the BMOC workers: a panic while
-            // analyzing one channel becomes an incident, not an abort.
-            let attempt = catch_isolated(|| {
-                let mut found: Vec<BugReport> = Vec::new();
-                let root = scopes[chan.id.0].root;
-                let prim_set = pset(chan.id, dg, scopes);
-                let pset_size = prim_set.len();
-                let mut enumerator = Enumerator::new(
-                    self.module,
-                    &self.analysis,
-                    &self.prims,
-                    &prim_set,
-                    config.limits.clone(),
-                )
-                .with_budget(chan_budget.clone());
-                lane.begin("build_combos", vec![]);
-                let combos = self.telemetry.time(Stage::Paths, || {
-                    self.build_combos(&mut enumerator, root, config, &mut lane)
-                });
-                lane.end();
-                let paths_enumerated = enumerator.paths_enumerated();
-                let branches_pruned = enumerator.branches_pruned();
-                let mut exhausted = enumerator.exhausted();
-                self.telemetry
-                    .add(Counter::PathsEnumerated, paths_enumerated);
-                self.telemetry.add(Counter::BranchesPruned, branches_pruned);
-                self.telemetry
-                    .add(Counter::CombosBuilt, combos.len() as u64);
-                self.telemetry
-                    .observe(Metric::PathsPerChannel, paths_enumerated);
-                self.telemetry
-                    .observe(Metric::CombosPerChannel, combos.len() as u64);
-                let mut groups_checked = 0u64;
-                // Same per-channel solving context as the BMOC pipeline:
-                // the incremental strategy shares each combination's ΦR
-                // encoding across every (send, close) pair queried on it,
-                // and the session cache shares verdicts across channels.
-                let cache = config.share_encodings.then(|| self.encoding_cache());
-                let mut solver =
-                    ChannelSolver::with_cache(&self.prims, config.solver_strategy, cache);
-                for combo in &combos {
-                    if chan_budget.is_active() && chan_budget.expired() {
-                        exhausted = true;
-                        break;
-                    }
-                    let mut combo_open = false;
-                    // Collect sends and closes on this channel.
-                    let mut sends = Vec::new();
-                    let mut closes = Vec::new();
-                    for (gi, g) in combo.gos.iter().enumerate() {
-                        for (ei, event) in g.path.events.iter().enumerate() {
-                            if let Event::Op(op) = event {
-                                if op.prim == chan.id {
-                                    match op.kind {
-                                        crate::primitives::OpKind::Send => sends.push((
-                                            GroupMember {
-                                                goroutine: gi,
-                                                event: ei,
-                                            },
-                                            op.clone(),
-                                        )),
-                                        crate::primitives::OpKind::Close => closes.push((
-                                            GroupMember {
-                                                goroutine: gi,
-                                                event: ei,
-                                            },
-                                            op.clone(),
-                                        )),
-                                        _ => {}
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    for (send_m, send_op) in &sends {
-                        for (close_m, close_op) in &closes {
-                            if !seen.insert((send_op.loc, close_op.loc)) {
-                                continue;
-                            }
-                            self.telemetry.add(Counter::GroupsChecked, 1);
-                            groups_checked += 1;
-                            lane.begin("solve", vec![("group", ArgValue::U64(groups_checked))]);
-                            let check = self.telemetry.time(Stage::Constraints, || {
-                                if !combo_open {
-                                    solver.begin_combo(combo, EncodingKind::Reach);
-                                    combo_open = true;
-                                }
-                                solver.check_send_after_close(
-                                    combo,
-                                    *send_m,
-                                    *close_m,
-                                    config.solver_steps,
-                                    &chan_budget,
-                                )
-                            });
-                            let verdict = check.verdict;
-                            let solver_stats = check.stats.unwrap_or_default();
-                            self.telemetry.add_solver_stats(solver_stats);
-                            lane.complete(
-                                "dpll",
-                                solver_stats.elapsed,
-                                vec![
-                                    ("steps", ArgValue::U64(solver_stats.steps)),
-                                    ("decisions", ArgValue::U64(solver_stats.decisions)),
-                                    ("conflicts", ArgValue::U64(solver_stats.conflicts)),
-                                    ("solver_reuse", ArgValue::U64(u64::from(check.reused))),
-                                ],
-                            );
-                            lane.end();
-                            match verdict {
-                                Verdict::Blocking(witness) => {
-                                    self.telemetry.add(Counter::ReportsEmitted, 1);
-                                    lane.instant(
-                                        "report_emitted",
-                                        vec![("chan", ArgValue::from(chan.name.as_str()))],
-                                    );
-                                    found.push(BugReport {
-                                        kind: BugKind::SendOnClosedChannel,
-                                        primitive: Some(chan.site),
-                                        primitive_span: chan.span,
-                                        primitive_name: chan.name.clone(),
-                                        ops: vec![
-                                            OpRef {
-                                                loc: send_op.loc,
-                                                span: send_op.span,
-                                                what: format!("send on {} after close", chan.name),
-                                                func_name: self
-                                                    .module
-                                                    .func(send_op.loc.func)
-                                                    .name
-                                                    .to_string(),
-                                            },
-                                            OpRef {
-                                                loc: close_op.loc,
-                                                span: close_op.span,
-                                                what: format!("close of {}", chan.name),
-                                                func_name: self
-                                                    .module
-                                                    .func(close_op.loc.func)
-                                                    .name
-                                                    .to_string(),
-                                            },
-                                        ],
-                                        witness_order: witness,
-                                        notes: "a schedule orders the close before the send \
-                                            (runtime panic)"
-                                            .into(),
-                                        provenance: Some(Provenance {
-                                            channel: chan.name.clone(),
-                                            pset_size,
-                                            paths_enumerated,
-                                            branches_pruned,
-                                            combos_tried: combos.len(),
-                                            groups_checked,
-                                            solver_verdict: "panic-schedule",
-                                            solver_steps: solver_stats.steps,
-                                            solver_decisions: solver_stats.decisions,
-                                            solver_conflicts: solver_stats.conflicts,
-                                            degradation_rung: 0,
-                                        }),
-                                    });
-                                }
-                                Verdict::Safe => {
-                                    seen.remove(&(send_op.loc, close_op.loc));
-                                }
-                                Verdict::Unknown => {
-                                    seen.remove(&(send_op.loc, close_op.loc));
-                                    if chan_budget.is_active() {
-                                        exhausted = true;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    if combo_open {
-                        solver.end_combo();
-                    }
-                }
-                self.telemetry
-                    .add(Counter::SolverEncodingsReused, solver.encodings_reused);
-                self.telemetry
-                    .add(Counter::LearnedClausesKept, solver.learned_kept);
-                self.telemetry
-                    .add(Counter::ChannelEncodingsShared, solver.encodings_shared);
-                (found, exhausted)
-            });
-            let incident = match attempt {
-                Ok((found, exhausted)) => {
-                    lane.end();
-                    reports.extend(found);
-                    exhausted.then(|| Incident {
-                        kind: IncidentKind::Channel,
-                        name: chan.name.clone(),
-                        message: "analysis budget exhausted; results for this channel are partial"
-                            .into(),
-                        rung: 0,
-                        flight: Vec::new(),
-                    })
-                }
-                Err(message) => {
-                    lane.rewind();
-                    Some(Incident {
-                        kind: IncidentKind::Channel,
-                        name: chan.name.clone(),
-                        message,
-                        rung: 0,
-                        flight: Vec::new(),
-                    })
-                }
+    /// The report of a send-on-closed candidate `[send, close]`.
+    fn make_send_on_closed_report(
+        &self,
+        chan: PrimId,
+        combo: &Combo,
+        pair: &[GroupMember],
+        witness: Vec<String>,
+    ) -> BugReport {
+        let prim = &self.prims.all[chan.0];
+        let op_ref = |m: &GroupMember, what: String| {
+            let Event::Op(op) = &combo.gos[m.goroutine].path.events[m.event] else {
+                unreachable!("send-on-closed candidates are channel operations");
             };
-            if let Some(incident) = incident {
-                self.telemetry.add(Counter::IncompleteChannels, 1);
-                lane.instant(
-                    "incident",
-                    vec![
-                        ("kind", ArgValue::from(incident.kind.label())),
-                        ("name", ArgValue::from(incident.name.as_str())),
-                    ],
-                );
-                config.obs.incident(
-                    chan.id.0 as u64,
-                    &incident.name,
-                    incident.kind.label(),
-                    &incident.message,
-                );
-                self.record_incident(incident);
+            OpRef {
+                loc: op.loc,
+                span: op.span,
+                what,
+                func_name: self.module.func(op.loc.func).name.to_string(),
             }
-            self.telemetry
-                .observe(Metric::ChannelDetectNs, started.elapsed().as_nanos() as u64);
+        };
+        BugReport {
+            kind: BugKind::SendOnClosedChannel,
+            primitive: Some(prim.site),
+            primitive_span: prim.span,
+            primitive_name: prim.name.clone(),
+            ops: vec![
+                op_ref(&pair[0], format!("send on {} after close", prim.name)),
+                op_ref(&pair[1], format!("close of {}", prim.name)),
+            ],
+            witness_order: witness,
+            notes: "a schedule orders the close before the send (runtime panic)".into(),
+            provenance: None,
         }
-        reports
     }
 }

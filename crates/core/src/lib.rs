@@ -113,7 +113,7 @@ pub use batch::{
     JobRecord, JobStatus, Journal, JournalCodec,
 };
 pub use checkers::{Checker, Registry, RunOutput, Selection};
-pub use constraints::{EncodingCache, SolverStrategy};
+pub use constraints::EncodingCache;
 pub use detector::{Detector, DetectorConfig};
 pub use diagnostics::{
     render_explain, render_json, render_json_with, render_stats_json, Diagnostic, Severity,
@@ -160,9 +160,10 @@ impl<'m> GCatch<'m> {
     }
 
     /// [`GCatch::with_trace`] with an explicit alias-analysis scheduling
-    /// mode (`--alias-mode`): `Demand` (the default) solves points-to
-    /// lazily per queried reference component, `Eager` solves the whole
-    /// module up front. Reports are byte-identical either way.
+    /// mode: `Demand` (the default, and the only mode the CLI runs) solves
+    /// points-to lazily per queried reference component, `Eager` solves
+    /// the whole module up front and is the reference the tests compare
+    /// against. Reports are byte-identical either way.
     pub fn with_options(
         module: &'m golite_ir::Module,
         level: TraceLevel,

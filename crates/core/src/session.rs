@@ -73,7 +73,7 @@ impl<'m> AnalysisSession<'m> {
     }
 
     /// [`AnalysisSession::with_trace`] with an explicit alias-analysis
-    /// scheduling mode (`--alias-mode`). Both modes yield byte-identical
+    /// scheduling mode. Both modes yield byte-identical
     /// reports; demand mode skips points-to work for functions no checker
     /// ever asks about.
     pub fn with_options(

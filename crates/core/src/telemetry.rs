@@ -94,8 +94,7 @@ pub enum Counter {
     /// Total solver conflicts.
     SolverConflicts,
     /// Queries answered by reusing an already-built combination encoding
-    /// (incremental strategy: one encoding per combination, one assumption
-    /// query per group).
+    /// (one encoding per combination, one assumption query per group).
     SolverEncodingsReused,
     /// Learned clauses retained from earlier queries of the same
     /// combination at the moment a reusing query started.

@@ -51,5 +51,5 @@ mod solver;
 mod term;
 
 pub use dl::DiffLogic;
-pub use solver::{Model, SolveResult, Solver, SolverMode, SolverStats};
+pub use solver::{Model, SolveResult, Solver, SolverStats};
 pub use term::{Atom, BoolVar, Cmp, IntVar, Term};

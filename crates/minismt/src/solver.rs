@@ -4,10 +4,7 @@
 //! trail:
 //!
 //! 1. **Clauses** from the Tseitin encoding of asserted [`Term`]s,
-//!    propagated either by two-watched-literal lists
-//!    ([`SolverMode::Watched`], the default) or by full occurrence-list
-//!    rescans ([`SolverMode::Rescan`], the legacy engine kept for
-//!    differential testing);
+//!    propagated by two-watched-literal lists;
 //! 2. **Pseudo-boolean constraints** (reified `Σ cᵢ·litᵢ <= k`), used for
 //!    GCatch's channel-buffer counters and exactly-one matching;
 //! 3. **Difference logic** for order atoms `x - y <= c`, checked eagerly by
@@ -15,9 +12,13 @@
 //!    assigned.
 //!
 //! Search is DPLL with chronological backtracking plus conflict clauses
-//! harvested from theory cycles and violated PB constraints. The watched
-//! engine adds an activity-bumped (VSIDS-lite) decision heuristic that is
-//! fully deterministic: ties break toward the lowest variable index.
+//! harvested from theory cycles and violated PB constraints. Decisions
+//! follow an activity-bumped (VSIDS-lite) heuristic that is fully
+//! deterministic: ties break toward the lowest variable index.
+//!
+//! The reference for this engine is the brute-force enumerator in
+//! `tests/proptest_vs_bruteforce.rs`, which checks one-shot solves and
+//! incremental push/assert/solve-under/pop sequences step by step.
 //!
 //! The solver is **incremental**: assertions are encoded eagerly into a
 //! persistent engine, [`Solver::push`]/[`Solver::pop`] open and close
@@ -103,19 +104,6 @@ impl SolveResult {
     }
 }
 
-/// Which propagation engine the solver runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverMode {
-    /// Two-watched-literal clause propagation with the VSIDS-lite decision
-    /// heuristic. The default.
-    #[default]
-    Watched,
-    /// The legacy clone-free occurrence-list rescan engine with the
-    /// first-unassigned-index heuristic. Kept as an escape hatch for
-    /// differential testing against the watched engine.
-    Rescan,
-}
-
 /// Saved sizes for one [`Solver::push`] scope; [`Solver::pop`] truncates
 /// every growable structure back to these marks.
 #[derive(Debug, Clone, Copy)]
@@ -193,30 +181,20 @@ impl Default for Solver {
 }
 
 impl Solver {
-    /// Creates an empty solver with the default engine
-    /// ([`SolverMode::Watched`]), the default step limit, and no deadline.
+    /// Creates an empty solver with the default step limit and no
+    /// deadline.
     pub fn new() -> Self {
-        Solver::with_mode(SolverMode::default())
-    }
-
-    /// Creates an empty solver running the given propagation engine.
-    pub fn with_mode(mode: SolverMode) -> Self {
         Solver {
             n_bool: 0,
             n_int: 0,
             n_assertions: 0,
-            engine: Engine::new(mode),
+            engine: Engine::new(),
             scopes: Vec::new(),
             step_limit: 5_000_000,
             deadline: None,
             fault_step: None,
             stats: SolverStats::default(),
         }
-    }
-
-    /// The propagation engine this solver runs.
-    pub fn mode(&self) -> SolverMode {
-        self.engine.mode
     }
 
     /// Creates a fresh boolean variable.
@@ -453,7 +431,6 @@ const ACTIVITY_RESCALE: f64 = 1e100;
 
 #[derive(Debug)]
 struct Engine {
-    mode: SolverMode,
     kinds: Vec<VarKind>,
     values: Vec<Option<bool>>,
     atom_ids: HashMap<Atom, u32>,
@@ -466,13 +443,11 @@ struct Engine {
     intern: HashMap<Term, Lit>,
     intern_log: Vec<Term>,
     clauses: Vec<Vec<Lit>>,
-    /// var -> clause indices containing it (Rescan engine only).
-    occurs: Vec<Vec<u32>>,
-    /// lit code -> clauses currently watching that literal (Watched engine
-    /// only). The watched literals of clause `ci` are `clauses[ci][0..2]`.
+    /// lit code -> clauses currently watching that literal. The watched
+    /// literals of clause `ci` are `clauses[ci][0..2]`.
     watches: Vec<Vec<u32>>,
     /// Literals that must hold unconditionally: unit clauses plus ground
-    /// PB propagations. Replayed at the start of every watched search.
+    /// PB propagations. Replayed at the start of every search.
     units: Vec<Lit>,
     /// Unit conflict clauses learned during the current search; replayed
     /// after every backtrack (the queue is cleared by trail pops).
@@ -486,7 +461,7 @@ struct Engine {
     /// learning watch the deepest-assigned literals.
     trail_pos: Vec<u32>,
     queue: std::collections::VecDeque<Lit>,
-    /// VSIDS-lite activity per variable (Watched engine only).
+    /// VSIDS-lite activity per variable.
     activity: Vec<f64>,
     var_inc: f64,
     dl: DiffLogic,
@@ -510,9 +485,8 @@ struct Engine {
 const DEADLINE_STRIDE: u64 = 256;
 
 impl Engine {
-    fn new(mode: SolverMode) -> Engine {
+    fn new() -> Engine {
         let mut e = Engine {
-            mode,
             kinds: Vec::new(),
             values: Vec::new(),
             atom_ids: HashMap::new(),
@@ -520,7 +494,6 @@ impl Engine {
             intern: HashMap::new(),
             intern_log: Vec::new(),
             clauses: Vec::new(),
-            occurs: Vec::new(),
             watches: Vec::new(),
             units: Vec::new(),
             fresh_units: Vec::new(),
@@ -552,7 +525,6 @@ impl Engine {
         let v = self.kinds.len() as u32;
         self.kinds.push(kind);
         self.values.push(None);
-        self.occurs.push(Vec::new());
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.pb_occurs.push(Vec::new());
@@ -592,18 +564,9 @@ impl Engine {
 
     fn add_clause(&mut self, lits: Vec<Lit>) {
         let idx = self.clauses.len() as u32;
-        match self.mode {
-            SolverMode::Rescan => {
-                for l in &lits {
-                    self.occurs[l.var() as usize].push(idx);
-                }
-            }
-            SolverMode::Watched => {
-                if lits.len() >= 2 {
-                    self.watches[lits[0].code()].push(idx);
-                    self.watches[lits[1].code()].push(idx);
-                }
-            }
+        if lits.len() >= 2 {
+            self.watches[lits[0].code()].push(idx);
+            self.watches[lits[1].code()].push(idx);
         }
         match lits.len() {
             0 => self.empty_clauses += 1,
@@ -622,7 +585,7 @@ impl Engine {
         for &lit in &lits {
             self.bump(lit.var());
         }
-        if self.mode == SolverMode::Watched && lits.len() >= 2 {
+        if lits.len() >= 2 {
             for slot in 0..2 {
                 let mut best = slot;
                 for k in (slot + 1)..lits.len() {
@@ -651,9 +614,6 @@ impl Engine {
     }
 
     fn bump(&mut self, var: u32) {
-        if self.mode != SolverMode::Watched {
-            return;
-        }
         self.activity[var as usize] += self.var_inc;
         if self.activity[var as usize] > ACTIVITY_RESCALE {
             for a in &mut self.activity {
@@ -664,9 +624,6 @@ impl Engine {
     }
 
     fn decay(&mut self) {
-        if self.mode != SolverMode::Watched {
-            return;
-        }
         self.var_inc /= ACTIVITY_DECAY;
     }
 
@@ -774,8 +731,8 @@ impl Engine {
         }
         self.pb_occurs[act.var() as usize].push(idx);
         // Ground propagations (the only ones possible with nothing
-        // assigned): record them as units so the watched engine need not
-        // rescan every PB at each solve.
+        // assigned): record them as units so a search need not rescan
+        // every PB at its start.
         let total: i64 = norm.iter().map(|(c, _)| *c).sum();
         if total <= k {
             self.units.push(act);
@@ -885,34 +842,18 @@ impl Engine {
         }
     }
 
-    /// Mode dispatch for the work following an assignment of `l`.
+    /// The work following an assignment of `l`: watched clauses, then PB
+    /// constraints. Returns false on conflict.
     fn post_assign(&mut self, l: Lit) -> bool {
-        match self.mode {
-            SolverMode::Rescan => self.process_var(l.var()),
-            SolverMode::Watched => self.on_assigned_watched(l) && self.process_pbs(l.var()),
-        }
+        self.on_assigned_watched(l) && self.process_pbs(l.var())
     }
 
-    /// Re-evaluates every clause and PB constraint mentioning `var` after it
-    /// was assigned (Rescan engine). Returns false on conflict.
+    /// Re-evaluates every PB constraint mentioning `var`.
     ///
-    /// Iterates by index rather than cloning the occurrence lists: new
+    /// Iterates by index rather than cloning the occurrence list: new
     /// entries are appended only by conflict learning, which makes the
     /// enclosing check return false before the next iteration, so the
     /// iteration never observes a stale snapshot.
-    fn process_var(&mut self, var: u32) -> bool {
-        let mut i = 0;
-        while i < self.occurs[var as usize].len() {
-            let ci = self.occurs[var as usize][i] as usize;
-            if !self.check_clause(ci) {
-                return false;
-            }
-            i += 1;
-        }
-        self.process_pbs(var)
-    }
-
-    /// Re-evaluates every PB constraint mentioning `var` (both engines).
     fn process_pbs(&mut self, var: u32) -> bool {
         let mut i = 0;
         while i < self.pb_occurs[var as usize].len() {
@@ -925,8 +866,8 @@ impl Engine {
         true
     }
 
-    /// Visits every clause watching the falsification of `p`'s complement
-    /// (Watched engine): moves watches to non-false literals, propagates
+    /// Visits every clause watching the falsification of `p`'s complement:
+    /// moves watches to non-false literals, propagates
     /// units, detects conflicts. Returns false on conflict.
     fn on_assigned_watched(&mut self, p: Lit) -> bool {
         let false_lit = p.neg();
@@ -965,31 +906,6 @@ impl Engine {
             i += 1;
         }
         true
-    }
-
-    /// Evaluates clause `ci`: detects conflict or unit-propagates
-    /// (Rescan engine).
-    fn check_clause(&mut self, ci: usize) -> bool {
-        let mut unassigned: Option<Lit> = None;
-        let mut n_unassigned = 0;
-        for &l in &self.clauses[ci] {
-            match self.value_of(l) {
-                Some(true) => return true,
-                Some(false) => {}
-                None => {
-                    n_unassigned += 1;
-                    unassigned = Some(l);
-                }
-            }
-        }
-        match n_unassigned {
-            0 => false,
-            1 => {
-                self.enqueue(unassigned.expect("counted one"));
-                true
-            }
-            _ => true,
-        }
     }
 
     /// Evaluates PB constraint `pi`: bounds checking plus propagation.
@@ -1086,28 +1002,11 @@ impl Engine {
         if self.empty_clauses > 0 {
             return SolveResult::Unsat;
         }
-        // Initial pass: the Rescan engine scans every constraint (handles
-        // unit clauses and ground PB facts); the Watched engine replays
-        // the precomputed unit list instead.
-        match self.mode {
-            SolverMode::Rescan => {
-                for ci in 0..self.clauses.len() {
-                    if !self.check_clause(ci) {
-                        return SolveResult::Unsat;
-                    }
-                }
-                for pi in 0..self.pbs.len() {
-                    if !self.check_pb(pi) {
-                        return SolveResult::Unsat;
-                    }
-                }
-            }
-            SolverMode::Watched => {
-                for i in 0..self.units.len() {
-                    let u = self.units[i];
-                    self.enqueue(u);
-                }
-            }
+        // Initial pass: replay the precomputed unit list (unit clauses and
+        // ground PB facts).
+        for i in 0..self.units.len() {
+            let u = self.units[i];
+            self.enqueue(u);
         }
         if !self.propagate() {
             self.conflicts += 1;
@@ -1172,39 +1071,27 @@ impl Engine {
         if !self.backtrack() {
             return false;
         }
-        if self.mode == SolverMode::Watched {
-            for i in 0..self.fresh_units.len() {
-                let u = self.fresh_units[i];
-                if self.value_of(u) != Some(true) {
-                    self.enqueue(u);
-                }
+        for i in 0..self.fresh_units.len() {
+            let u = self.fresh_units[i];
+            if self.value_of(u) != Some(true) {
+                self.enqueue(u);
             }
         }
         true
     }
 
-    /// The next decision variable: highest activity (ties toward the
-    /// lowest index) under the watched engine, first unassigned index
-    /// under the rescan engine. Both are deterministic.
+    /// The next decision variable: highest activity, ties toward the
+    /// lowest index (deterministic).
     fn pick_branch(&self) -> Option<u32> {
-        match self.mode {
-            SolverMode::Rescan => self
-                .values
-                .iter()
-                .position(|v| v.is_none())
-                .map(|v| v as u32),
-            SolverMode::Watched => {
-                let mut best: Option<u32> = None;
-                let mut best_act = f64::NEG_INFINITY;
-                for (v, val) in self.values.iter().enumerate() {
-                    if val.is_none() && self.activity[v] > best_act {
-                        best_act = self.activity[v];
-                        best = Some(v as u32);
-                    }
-                }
-                best
+        let mut best: Option<u32> = None;
+        let mut best_act = f64::NEG_INFINITY;
+        for (v, val) in self.values.iter().enumerate() {
+            if val.is_none() && self.activity[v] > best_act {
+                best_act = self.activity[v];
+                best = Some(v as u32);
             }
         }
+        best
     }
 
     /// Whether the wall-clock deadline has passed (amortized check).
@@ -1250,8 +1137,8 @@ impl Engine {
         }
     }
 
-    /// Discards everything a scope added: clauses (unhooking watches or
-    /// occurrence entries), PB constraints, atoms, interned terms, and
+    /// Discards everything a scope added: clauses (unhooking their
+    /// watches), PB constraints, atoms, interned terms, and
     /// variables. The trail is already empty between queries; difference-
     /// logic edges were retracted with it, and any stale potential values
     /// remain feasible for the surviving (smaller) constraint set.
@@ -1260,25 +1147,11 @@ impl Engine {
         while self.clauses.len() > m.n_clauses {
             let ci = (self.clauses.len() - 1) as u32;
             let clause = self.clauses.pop().expect("len checked");
-            match self.mode {
-                SolverMode::Rescan => {
-                    // Occurrence lists are clause-index-ascending, so a
-                    // popped clause's entries sit at each list's tail.
-                    for l in &clause {
-                        let occ = &mut self.occurs[l.var() as usize];
-                        while occ.last() == Some(&ci) {
-                            occ.pop();
-                        }
-                    }
-                }
-                SolverMode::Watched => {
-                    if clause.len() >= 2 {
-                        for &w in &clause[0..2] {
-                            let ws = &mut self.watches[w.code()];
-                            if let Some(p) = ws.iter().position(|&c| c == ci) {
-                                ws.swap_remove(p);
-                            }
-                        }
+            if clause.len() >= 2 {
+                for &w in &clause[0..2] {
+                    let ws = &mut self.watches[w.code()];
+                    if let Some(p) = ws.iter().position(|&c| c == ci) {
+                        ws.swap_remove(p);
                     }
                 }
             }
@@ -1309,7 +1182,6 @@ impl Engine {
         self.values.truncate(m.n_vars);
         self.trail_pos.truncate(m.n_vars);
         self.activity.truncate(m.n_vars);
-        self.occurs.truncate(m.n_vars);
         self.watches.truncate(2 * m.n_vars);
         self.pb_occurs.truncate(m.n_vars);
         self.learned = m.learned;
@@ -1673,51 +1545,6 @@ mod tests {
         s.pop();
         assert_eq!(s.num_learned(), 0, "pop discards scope-learned clauses");
         assert!(s.solve().is_sat());
-    }
-
-    #[test]
-    fn watched_and_rescan_agree() {
-        // A differential harness over mixed boolean/theory/PB instances:
-        // both engines must produce the same verdict.
-        let build = |s: &mut Solver, variant: usize| {
-            let ints: Vec<_> = (0..4).map(|_| s.fresh_int()).collect();
-            let bools: Vec<_> = (0..4).map(|_| s.fresh_bool()).collect();
-            for w in ints.windows(2) {
-                s.assert(Term::lt(w[0], w[1]));
-            }
-            s.assert(Term::exactly_one(bools.iter().map(|&v| Atom::Bool(v))));
-            s.assert(Term::implies(
-                Term::var(bools[0]),
-                Term::lt(ints[3], ints[0]),
-            ));
-            if variant.is_multiple_of(2) {
-                s.assert(Term::var(bools[0]));
-            }
-            if variant.is_multiple_of(3) {
-                s.assert(Term::Linear {
-                    terms: bools.iter().map(|&v| (1, Atom::Bool(v))).collect(),
-                    cmp: Cmp::Ge,
-                    k: 2,
-                });
-            }
-        };
-        for variant in 0..6 {
-            let mut w = Solver::with_mode(SolverMode::Watched);
-            build(&mut w, variant);
-            let mut r = Solver::with_mode(SolverMode::Rescan);
-            build(&mut r, variant);
-            let (rw, rr) = (w.solve(), r.solve());
-            assert_eq!(
-                rw.is_sat(),
-                rr.is_sat(),
-                "engines disagree on variant {variant}"
-            );
-            assert_eq!(
-                rw.is_unsat(),
-                rr.is_unsat(),
-                "engines disagree on variant {variant}"
-            );
-        }
     }
 
     #[test]

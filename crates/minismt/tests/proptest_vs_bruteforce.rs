@@ -239,3 +239,91 @@ fn conjunction_soundness() {
         }
     }
 }
+
+/// The reference verdict for the conjunction of `terms`, or `None` when
+/// the conjunction has too many distinct atoms to enumerate quickly.
+fn brute_force_all(terms: &[Term]) -> Option<(bool, Term)> {
+    let conj = Term::And(terms.to_vec());
+    (atoms_of(&conj).len() <= 14).then(|| (brute_force_sat(&conj), conj))
+}
+
+/// One literal over the shared atom pool, used as a query assumption.
+fn gen_assumption(rng: &mut Prng) -> Term {
+    let atom = Term::Atom(gen_atom(rng));
+    if rng.gen_bool(0.5) {
+        atom
+    } else {
+        Term::Not(Box::new(atom))
+    }
+}
+
+/// Incremental use against the reference at every step: a base assertion,
+/// then a pushed scope with its own assertion answering several queries
+/// under different assumptions (conflict clauses learned by one query are
+/// retained for the next), then a pop and the same queries again. Each
+/// verdict must match brute force over exactly the assertions live at
+/// that moment plus the query's assumptions, and every model must satisfy
+/// them.
+#[test]
+fn incremental_sequences_agree_with_bruteforce() {
+    let mut checked = 0u64;
+    for seed in 0..CASES {
+        let mut rng = Prng::seed_from_u64(seed ^ 0x1DC0_5EED);
+        let base = gen_term(&mut rng, 2);
+        let scoped = gen_term(&mut rng, 2);
+        let queries: Vec<Vec<Term>> = (0..4)
+            .map(|_| {
+                let n = rng.gen_range(0..3usize);
+                (0..n).map(|_| gen_assumption(&mut rng)).collect()
+            })
+            .collect();
+        let mut s = Solver::new();
+        s.assert(base.clone());
+        let mut check = |s: &mut Solver, live: &[Term], assume: &[Term], step: &str| {
+            let mut all = live.to_vec();
+            all.extend(assume.iter().cloned());
+            let Some((expected, conj)) = brute_force_all(&all) else {
+                return;
+            };
+            checked += 1;
+            match s.solve_under(assume) {
+                SolveResult::Sat(model) => {
+                    assert!(expected, "seed {seed} {step}: SAT, reference UNSAT: {conj}");
+                    assert!(
+                        model_satisfies(&conj, &model),
+                        "seed {seed} {step}: model violates {conj}"
+                    );
+                }
+                SolveResult::Unsat => {
+                    assert!(
+                        !expected,
+                        "seed {seed} {step}: UNSAT, reference SAT: {conj}"
+                    )
+                }
+                SolveResult::Unknown => panic!("seed {seed} {step}: budget exhausted"),
+            }
+        };
+        check(&mut s, std::slice::from_ref(&base), &[], "base");
+        s.push();
+        s.assert(scoped.clone());
+        let live = [base.clone(), scoped];
+        for (i, q) in queries.iter().enumerate() {
+            check(&mut s, &live, q, &format!("scoped query {i}"));
+        }
+        // Repeating the first query exercises the clauses the others kept.
+        check(&mut s, &live, &queries[0], "scoped repeat");
+        s.pop();
+        for (i, q) in queries.iter().enumerate() {
+            check(
+                &mut s,
+                std::slice::from_ref(&base),
+                q,
+                &format!("popped query {i}"),
+            );
+        }
+    }
+    assert!(
+        checked > CASES * 4,
+        "too few steps small enough to check: {checked}"
+    );
+}

@@ -16,8 +16,8 @@ use gcatch_suite::gcatch::{
     render_prometheus, render_stats_json, run_worker, serve_socket, serve_stdio, write_manifest,
     AliasMode, BatchConfig, BatchEngine, BatchJob, Budget, Coordinator, Counter, DetectorConfig,
     Event, EventBus, EventKind, FaultPlan, GCatch, HedgePolicy, Incident, IncidentKind, JobCtx,
-    JobRecord, Journal, JournalCodec, Metric, ObsScope, Selection, ServeConfig, SolverStrategy,
-    SweepConfig, SweepLayout, Telemetry, TraceLevel, Tracer, WorkKind, WorkerConfig,
+    JobRecord, Journal, JournalCodec, Metric, ObsScope, Selection, ServeConfig, SweepConfig,
+    SweepLayout, Telemetry, TraceLevel, Tracer, WorkKind, WorkerConfig,
 };
 use gcatch_suite::{gfix, sim};
 use std::collections::BTreeMap;
@@ -60,8 +60,7 @@ usage: gcatch <command> [options] <file.go>
 
 commands:
   check [--json] [--stats] [--explain] [--trace FILE] [--only C] [--skip C] [--jobs N]
-        [--timeout SECS] [--channel-timeout MS] [--solver-steps N] [--solver-mode M]
-        [--alias-mode M] [--no-share-encodings] [--step-pool N]
+        [--timeout SECS] [--channel-timeout MS] [--solver-steps N] [--step-pool N]
         [--metrics-out FILE] [--events-out FILE] [--strict]
                         detect concurrency bugs via the checker registry;
                         --only/--skip select checkers by name (repeatable,
@@ -83,8 +82,7 @@ commands:
         [--inject-faults RATE] [--fault-seed N] [--journal FILE | --resume FILE]
         [--report FILE] [--json] [--stats] [--strict] [--explain] [--trace FILE]
         [--metrics-out FILE] [--events-out FILE] [--progress]
-        [--timeout SECS] [--channel-timeout MS] [--solver-steps N] [--solver-mode M]
-        [--alias-mode M] [--no-share-encodings] [--step-pool N]
+        [--timeout SECS] [--channel-timeout MS] [--solver-steps N] [--step-pool N]
         <file.go|dir>...
                         check many modules under a supervised worker pool:
                         failed modules retry with exponential backoff,
@@ -102,8 +100,7 @@ commands:
         [--inject-faults RATE] [--fault-seed N]
         [--report FILE] [--json] [--stats] [--strict] [--progress]
         [--metrics-out FILE] [--events-out FILE]
-        [--timeout SECS] [--channel-timeout MS] [--solver-steps N] [--solver-mode M]
-        [--alias-mode M] [--no-share-encodings] [--step-pool N]
+        [--timeout SECS] [--channel-timeout MS] [--solver-steps N] [--step-pool N]
         <file.go|dir>...
                         check many modules across a fleet of --workers N
                         worker *processes* coordinated through an on-disk
@@ -128,8 +125,7 @@ commands:
         [--request-timeout-ms MS] [--cache-dir DIR] [--max-cache N]
         [--inject-faults RATE] [--fault-seed N]
         [--metrics-out FILE] [--events-out FILE]
-        [--channel-timeout MS] [--solver-steps N] [--solver-mode M]
-        [--alias-mode M] [--no-share-encodings] [--step-pool N]
+        [--channel-timeout MS] [--solver-steps N] [--step-pool N]
                         crash-only analysis daemon speaking a JSON-lines
                         protocol (one request object per line, each
                         echoing its client-supplied id): ops `check`,
@@ -150,8 +146,7 @@ commands:
                         `gcatch check --json`. SIGTERM/SIGINT drain
                         gracefully (finish in flight, flush, exit 0)
   extended [--json] [--stats] [--explain] [--trace FILE] [--jobs N]
-        [--timeout SECS] [--channel-timeout MS] [--solver-steps N] [--solver-mode M]
-        [--alias-mode M] [--no-share-encodings] [--step-pool N]
+        [--timeout SECS] [--channel-timeout MS] [--solver-steps N] [--step-pool N]
         [--metrics-out FILE] [--events-out FILE] [--strict]
                         run the send-on-closed (panic) detector (paper §6)
 
@@ -159,20 +154,6 @@ budgets (check / extended):
   --timeout SECS        wall-clock deadline for the whole run
   --channel-timeout MS  wall-clock deadline per analyzed channel
   --solver-steps N      solver step limit per query (default 400000)
-  --solver-mode M       constraint-solver strategy: `incremental` (default;
-                        one persistent solver per channel, combos solved as
-                        assumption queries against a shared encoding),
-                        `fresh` (one solver per query), or `rescan` (fresh
-                        solvers with the legacy clone-and-rescan engine);
-                        all three produce identical reports
-  --alias-mode M        alias-analysis scheduling: `demand` (default;
-                        points-to components solved lazily, only for the
-                        code slices the checkers actually query) or
-                        `eager` (whole module up front); reports are
-                        byte-identical either way
-  --no-share-encodings  disable the cross-channel verdict cache that lets
-                        structurally identical channels share solver work
-                        (sharing never changes the reports)
   --step-pool N         global solver-step pool shared by all queries
                         a channel that exhausts its budget is retried at
                         degraded limits (reduced unroll, then a reduced
@@ -252,14 +233,10 @@ const OBS_FLAGS: &[FlagSpec] = &[("metrics-out", true), ("events-out", true)];
 /// The whole-run wall-clock budget.
 const TIMEOUT_FLAG: &[FlagSpec] = &[("timeout", true)];
 
-/// Per-analysis knobs that shape every report byte (alias scheduling,
-/// solver strategy and budgets, encoding sharing).
+/// Per-analysis knobs that shape every report byte (the budgets).
 const ANALYSIS_FLAGS: &[FlagSpec] = &[
     ("channel-timeout", true),
     ("solver-steps", true),
-    ("solver-mode", true),
-    ("alias-mode", true),
-    ("no-share-encodings", false),
     ("step-pool", true),
 ];
 
@@ -403,24 +380,7 @@ fn budget_config(flags: &[Flag]) -> Result<DetectorConfig, String> {
     if let Some(steps) = parse_u64_flag(flags, "solver-steps")? {
         config.solver_steps = steps;
     }
-    if let Some(mode) = flag_value(flags, "solver-mode") {
-        config.solver_strategy = SolverStrategy::parse(mode).ok_or_else(|| {
-            format!("bad --solver-mode: `{mode}` (expected incremental, fresh, or rescan)")
-        })?;
-    }
-    config.share_encodings = !has_flag(flags, "no-share-encodings");
     Ok(config)
-}
-
-/// The alias-analysis scheduling mode (`--alias-mode`), defaulting to
-/// demand-driven solving. Not part of [`DetectorConfig`] because it is
-/// fixed at session construction, before any checker runs.
-fn alias_mode(flags: &[Flag]) -> Result<AliasMode, String> {
-    match flag_value(flags, "alias-mode") {
-        Some(v) => AliasMode::parse(v)
-            .ok_or_else(|| format!("bad --alias-mode: `{v}` (expected eager or demand)")),
-        None => Ok(AliasMode::default()),
-    }
 }
 
 /// Exit code for a diagnostics run: bugs mean 1, incidents under
@@ -473,11 +433,10 @@ fn run_diagnostics(
         bus: bus.clone(),
         ..ObsScope::default()
     };
-    let alias = alias_mode(flags)?;
     let src = read_source(path)?;
     let started = std::time::Instant::now();
     let module = gcatch_suite::ir::lower_source(&src)?;
-    let gcatch = GCatch::with_options(&module, level, alias);
+    let gcatch = GCatch::with_trace(&module, level);
     selection.validate(gcatch.registry())?;
     let diagnostics = gcatch.diagnostics(&config, &selection);
     let incidents = gcatch.incidents();
@@ -946,7 +905,6 @@ fn render_batch_report(records: &[JobRecord<String>], quarantined: usize) -> (St
 fn run_batch_module(
     path: &str,
     base: &DetectorConfig,
-    alias: AliasMode,
     telemetry: &Telemetry,
     bus: &Option<Arc<EventBus>>,
     ctx: &JobCtx,
@@ -954,7 +912,7 @@ fn run_batch_module(
     let src = read_source(path)?;
     let started = std::time::Instant::now();
     let module = gcatch_suite::ir::lower_source(&src)?;
-    let gcatch = GCatch::with_options(&module, TraceLevel::Off, alias);
+    let gcatch = GCatch::new(&module);
     // The flight recorder is always attached (its lines feed the
     // quarantine postmortem, which must be byte-identical whether or not
     // --events-out was passed); the bus only when the run armed one.
@@ -1076,7 +1034,6 @@ fn cmd_batch(rest: &[String]) -> Result<ExitCode, String> {
     // the worker pool above instead.
     let mut base = budget_config(&flags)?;
     base.jobs = 1;
-    let alias = alias_mode(&flags)?;
 
     let journal_flag = flag_value(&flags, "journal");
     let resume_flag = flag_value(&flags, "resume");
@@ -1108,7 +1065,7 @@ fn cmd_batch(rest: &[String]) -> Result<ExitCode, String> {
             let path = path.clone();
             let bus = bus.clone();
             BatchJob::new(path.clone(), move |ctx| {
-                run_batch_module(&path, &base, alias, telemetry, &bus, ctx)
+                run_batch_module(&path, &base, telemetry, &bus, ctx)
             })
         })
         .collect();
@@ -1381,7 +1338,6 @@ fn cmd_worker(rest: &[String]) -> Result<ExitCode, String> {
     let batch = worker_engine_config(&flags, plan.clone(), fault_seed)?;
     let mut base = budget_config(&flags)?;
     base.jobs = 1;
-    let alias = alias_mode(&flags)?;
 
     let codec = JournalCodec::raw_json();
     let journal = Journal::create(&layout.journal_path(&id), &ids)
@@ -1401,7 +1357,7 @@ fn cmd_worker(rest: &[String]) -> Result<ExitCode, String> {
             let base = base.clone();
             let bus = bus.clone();
             let telemetry = &telemetry;
-            move |ctx| run_batch_module(&path, &base, alias, telemetry, &bus, ctx)
+            move |ctx| run_batch_module(&path, &base, telemetry, &bus, ctx)
         });
         let engine = BatchEngine::new(batch.clone(), &telemetry, &tracer);
         let outcome = engine.run(&[job], Some((&journal, &codec)), BTreeMap::new());
@@ -1438,7 +1394,6 @@ fn cmd_sweep(rest: &[String]) -> Result<ExitCode, String> {
     let (plan, fault_seed) = fault_plan(&flags)?;
     worker_engine_config(&flags, plan.map(Arc::new), fault_seed)?;
     budget_config(&flags)?;
-    alias_mode(&flags)?;
 
     let workers = match parse_u64_flag(&flags, "workers")?.unwrap_or(4) {
         0 => return Err("--workers must be at least 1".into()),
@@ -1646,7 +1601,6 @@ fn serve_execute(
     source: &str,
     budget: &Budget,
     base: &DetectorConfig,
-    alias: AliasMode,
 ) -> Result<String, String> {
     // The request deadline flows into the analysis budget, so a slow
     // module degrades through the usual rungs instead of running
@@ -1659,14 +1613,14 @@ fn serve_execute(
     match op {
         WorkKind::Check => {
             let module = gcatch_suite::ir::lower_source(source)?;
-            let gcatch = GCatch::with_options(&module, TraceLevel::Off, alias);
+            let gcatch = GCatch::new(&module);
             let diagnostics = gcatch.diagnostics(&config, &Selection::default());
             let incidents = gcatch.incidents();
             Ok(render_json_with(&diagnostics, None, &incidents))
         }
         WorkKind::Explain => {
             let module = gcatch_suite::ir::lower_source(source)?;
-            let gcatch = GCatch::with_options(&module, TraceLevel::Off, alias);
+            let gcatch = GCatch::new(&module);
             let diagnostics = gcatch.diagnostics(&config, &Selection::default());
             let text = render_explain(&diagnostics);
             let mut out = String::from("{\"diagnostics\":");
@@ -1729,7 +1683,6 @@ fn cmd_serve(rest: &[String]) -> Result<ExitCode, String> {
     // to single-shot runs.
     let mut base = budget_config(&flags)?;
     base.jobs = 1;
-    let alias = alias_mode(&flags)?;
     let workers = parse_u64_flag(&flags, "workers")?.unwrap_or(4).max(1) as usize;
     let max_queue = parse_u64_flag(&flags, "max-queue")?.unwrap_or(64) as usize;
     let request_timeout = parse_u64_flag(&flags, "request-timeout-ms")?.map(Duration::from_millis);
@@ -1787,7 +1740,13 @@ fn cmd_serve(rest: &[String]) -> Result<ExitCode, String> {
         // into (or replayed from) a session.
         if op == WorkKind::Check && budget.deadline().is_none() {
             if let Some(store) = warm_store.as_deref() {
-                let outcome = gcatch_suite::gcatch::warm_check(store, path, source, &base, alias)?;
+                let outcome = gcatch_suite::gcatch::warm_check(
+                    store,
+                    path,
+                    source,
+                    &base,
+                    AliasMode::default(),
+                )?;
                 if outcome.reused {
                     telemetry.add(Counter::SessionsReused, 1);
                 }
@@ -1825,7 +1784,7 @@ fn cmd_serve(rest: &[String]) -> Result<ExitCode, String> {
                 return Ok(outcome.json);
             }
         }
-        serve_execute(op, source, budget, &base, alias)
+        serve_execute(op, source, budget, &base)
     };
 
     // Same live-republish ticker as batch: scrapers watching

@@ -185,6 +185,12 @@ fn unknown_flags_are_rejected_with_exit_2() {
         vec!["simulate", "--strict"],
         vec!["fix", "--solver-steps", "10"],
         vec!["simulate", "--step-pool", "100"],
+        // One solver strategy, one alias schedule, sharing always on: the
+        // reference configurations are library-level, not flags.
+        vec!["check", "--solver-mode", "fresh"],
+        vec!["extended", "--alias-mode", "eager"],
+        vec!["check", "--no-share-encodings"],
+        vec!["batch", "--solver-mode", "incremental"],
     ] {
         let mut full = args.clone();
         let p = path.to_str().unwrap();

@@ -238,37 +238,67 @@ fn budget_incidents_are_identical_across_jobs() {
     );
 }
 
+/// A buffered channel closed while a goroutine sends on it, entangled with
+/// two unbuffered channels so that its Pset (§3.2) holds all three: the
+/// full-Pset send-on-closed query needs a few hundred solver steps, the
+/// channel-only Pset of the last ladder rung a few dozen.
+const ENTANGLED_SEND_ON_CLOSED: &str = "package main
+func main() {
+    a := make(chan int)
+    b := make(chan int)
+    done := make(chan int, 1)
+    go func() {
+        a <- 1
+        done <- 1
+        b <- 1
+    }()
+    close(done)
+    <-a
+    <-b
+}
+";
+
 /// The degradation ladder recovers findings the full limits cannot reach:
 /// with ~200 solver steps per query the wide-Pset rung-0/1 formulas go
 /// Unknown, but rung 2's channel-only Pset shrinks them enough to solve —
-/// and the finding's provenance records the rung it was found at.
+/// and the finding's provenance records the rung it was found at. The
+/// send-on-closed query runs through the same ladder as BMOC.
 #[test]
 fn ladder_findings_record_their_degradation_rung() {
-    let src = circular_ring_program(3);
-    let module = gcatch_suite::ir::lower_source(&src).expect("ring lowers");
-    let gcatch = GCatch::new(&module);
-    let config = DetectorConfig {
-        solver_steps: 200,
-        channel_timeout: Some(Duration::from_secs(60)),
-        ..DetectorConfig::default()
+    let extended = Selection {
+        only: vec!["send-on-closed".to_string()],
+        skip: Vec::new(),
     };
-    let diagnostics = gcatch.diagnostics(&config, &Selection::default());
-    assert!(!diagnostics.is_empty(), "the ring deadlock must be found");
-    let max_rung = diagnostics
-        .iter()
-        .filter_map(|d| d.report.provenance.as_ref())
-        .map(|p| p.degradation_rung)
-        .max()
-        .expect("findings carry provenance");
-    assert!(
-        max_rung > 0,
-        "findings under a tight step budget must come from a tightened rung"
-    );
-    let explain = gcatch_suite::gcatch::render_explain(&diagnostics);
-    assert!(
-        explain.contains("ladder rung"),
-        "--explain must mention the rung:\n{explain}"
-    );
+    let ring = circular_ring_program(3);
+    for (name, src, selection) in [
+        ("ring deadlock", ring.as_str(), Selection::default()),
+        ("send on closed", ENTANGLED_SEND_ON_CLOSED, extended),
+    ] {
+        let module = gcatch_suite::ir::lower_source(src).expect("program lowers");
+        let gcatch = GCatch::new(&module);
+        let config = DetectorConfig {
+            solver_steps: 200,
+            channel_timeout: Some(Duration::from_secs(60)),
+            ..DetectorConfig::default()
+        };
+        let diagnostics = gcatch.diagnostics(&config, &selection);
+        assert!(!diagnostics.is_empty(), "{name}: the bug must be found");
+        let max_rung = diagnostics
+            .iter()
+            .filter_map(|d| d.report.provenance.as_ref())
+            .map(|p| p.degradation_rung)
+            .max()
+            .expect("findings carry provenance");
+        assert!(
+            max_rung > 0,
+            "{name}: findings under a tight step budget must come from a tightened rung"
+        );
+        let explain = gcatch_suite::gcatch::render_explain(&diagnostics);
+        assert!(
+            explain.contains("ladder rung"),
+            "{name}: --explain must mention the rung:\n{explain}"
+        );
+    }
 }
 
 /// The extended (§6) detector is panic-free too.
