@@ -24,7 +24,8 @@
 //! * an **append-only checkpoint journal** ([`Journal`]): one fsynced
 //!   JSONL line per decided job, so a killed run can be resumed with the
 //!   completed jobs restored instead of re-run. A truncated trailing
-//!   line (the kill arrived mid-write) is detected and dropped.
+//!   line (the kill arrived mid-write) is detected and dropped by the
+//!   shared [`durable`] recovery rule.
 //!
 //! The engine itself is deterministic *in content*: job results land in
 //! submission order in [`BatchOutcome::records`] regardless of worker
@@ -32,7 +33,8 @@
 //! across worker counts, interruptions, and (injected-)fault schedules —
 //! the property the kill-and-resume tests pin down.
 
-use crate::diagnostics::escape_json;
+use crate::diagnostics::{escape_json, json_uint, json_unquote};
+use crate::durable;
 use crate::events::{Event as ObsEvent, EventBus, EventKind, Field, FlightRecorder};
 use crate::faults::{self, FaultPlan};
 use crate::progress::ProgressSnapshot;
@@ -41,7 +43,6 @@ use crate::telemetry::{Counter, Metric, Telemetry};
 use crate::trace::{ArgValue, Tracer};
 use prng::Prng;
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::sync::{Condvar, Mutex};
@@ -290,101 +291,63 @@ pub(crate) fn fingerprint(ids: &[String]) -> String {
     format!("{h:016x}")
 }
 
-/// An append-only, fsync-per-line JSONL checkpoint journal.
+/// An append-only, fsync-per-line JSONL checkpoint journal: a codec over
+/// a [`durable`] line log.
 ///
 /// Line 1 is a header identifying the job set; every subsequent line is
-/// one decided job. Appends are flushed and fsynced individually, so
-/// after a kill at any instant the journal is a valid prefix plus at
-/// most one truncated line, which [`Journal::open_resume`] drops.
+/// one decided job. The header is written atomically and each record is
+/// appended and fsynced individually, so after a kill at any instant the
+/// journal is absent, or a complete header plus decided records plus at
+/// most one torn line, which [`Journal::open_resume`] drops.
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
-    file: Mutex<std::fs::File>,
+    log: Mutex<durable::Appender>,
 }
 
 impl Journal {
-    /// Creates (truncating) a journal for the given job set.
+    /// Creates (replacing) a journal for the given job set.
     pub fn create(path: &Path, ids: &[String]) -> std::io::Result<Journal> {
-        let mut file = std::fs::File::create(path)?;
         let header = format!(
-            "{{\"{JOURNAL_MAGIC}\":{JOURNAL_VERSION},\"jobs\":{},\"fingerprint\":\"{}\"}}\n",
+            "{{\"{JOURNAL_MAGIC}\":{JOURNAL_VERSION},\"jobs\":{},\"fingerprint\":\"{}\"}}",
             ids.len(),
             fingerprint(ids)
         );
-        file.write_all(header.as_bytes())?;
-        file.sync_data()?;
-        // Durability of the *name*, not just the bytes: fsync the parent
-        // directory so a metadata-losing crash cannot forget the journal
-        // file itself (the file's own fsyncs only cover its contents).
-        crate::sweep::fsync_parent(path)?;
+        let log = durable::write_log(path, &header, std::iter::empty::<&str>())?;
         Ok(Journal {
             path: path.to_path_buf(),
-            file: Mutex::new(file),
+            log: Mutex::new(log),
         })
     }
 
     /// Opens an existing journal for resumption: validates the header
-    /// against the submitted job set, restores every decided job from the
-    /// intact line prefix (a truncated or malformed tail is dropped), and
-    /// reopens the file for appending.
+    /// against the submitted job set, restores every decided job, cuts a
+    /// torn tail off, and reopens the file for appending.
     ///
     /// # Errors
     ///
     /// Reports an unreadable file, a missing/foreign header, or a job-set
-    /// fingerprint mismatch. Restored-payload decode failures are *not*
-    /// errors — the job is simply re-run.
+    /// fingerprint mismatch. A complete record line that does not parse
+    /// (including a payload the codec cannot decode) is *not* an error —
+    /// it is skipped and its job simply re-runs.
     #[allow(clippy::type_complexity)]
     pub fn open_resume<T>(
         path: &Path,
         ids: &[String],
         codec: &JournalCodec<T>,
     ) -> Result<(Journal, BTreeMap<String, JobRecord<T>>), String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read journal {}: {e}", path.display()))?;
-        let mut lines = text.split_inclusive('\n');
-        let header = lines.next().unwrap_or("");
-        if !header.ends_with('\n') || !header.starts_with(&format!("{{\"{JOURNAL_MAGIC}\":")) {
-            return Err(format!("{} is not a gcatch batch journal", path.display()));
-        }
-        let want = fingerprint(ids);
-        if !header.contains(&format!("\"fingerprint\":\"{want}\"")) {
-            return Err(format!(
-                "journal {} was written for a different job set",
-                path.display()
-            ));
-        }
-        let mut restored = BTreeMap::new();
-        let mut intact = header.len() as u64;
-        for line in lines {
-            // Only a complete, parseable line counts; the first bad line
-            // is where the crash landed, so everything after it is noise.
-            if !line.ends_with('\n') {
-                break;
-            }
-            match parse_record_line(line.trim_end_matches('\n'), codec) {
-                Some(rec) => {
-                    restored.insert(rec.id.clone(), rec);
-                    intact += line.len() as u64;
-                }
-                None => break,
-            }
-        }
-        // Self-heal: chop the crashed partial line off before appending,
-        // so the next record never concatenates onto garbage (which would
-        // hide every later record from a second resume).
-        let file = std::fs::OpenOptions::new()
-            .write(true)
-            .open(path)
+        let recovered = read_journal(path, ids, codec)?;
+        let log = durable::Appender::open(path, recovered.intact)
             .map_err(|e| format!("cannot append to journal {}: {e}", path.display()))?;
-        file.set_len(intact)
-            .map_err(|e| format!("cannot truncate journal {}: {e}", path.display()))?;
-        let mut file = file;
-        file.seek(SeekFrom::End(0))
-            .map_err(|e| format!("cannot seek journal {}: {e}", path.display()))?;
+        let restored = recovered
+            .records
+            .into_iter()
+            .map(|rec| (rec.id.clone(), rec))
+            .collect();
         Ok((
             Journal {
                 path: path.to_path_buf(),
-                file: Mutex::new(file),
+                log: Mutex::new(log),
             },
             restored,
         ))
@@ -395,149 +358,107 @@ impl Journal {
         &self.path
     }
 
-    /// Reads a journal without opening it for appending: validates the
-    /// header against `ids`, parses every intact record line, and drops a
-    /// torn or malformed tail — but never truncates the file. The sweep
-    /// merge uses this to fold every worker's journal into one record set
-    /// while the files stay untouched for postmortem inspection.
+    /// Reads a journal without opening it for appending: the same header
+    /// check and recovery pass as [`Journal::open_resume`], but the file
+    /// is never truncated. The sweep merge uses this to fold every
+    /// worker's journal into one record set while the files stay
+    /// untouched for postmortem inspection.
     pub fn read_records<T>(
         path: &Path,
         ids: &[String],
         codec: &JournalCodec<T>,
     ) -> Result<Vec<JobRecord<T>>, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read journal {}: {e}", path.display()))?;
-        let mut lines = text.split_inclusive('\n');
-        let header = lines.next().unwrap_or("");
-        if !header.ends_with('\n') || !header.starts_with(&format!("{{\"{JOURNAL_MAGIC}\":")) {
-            return Err(format!("{} is not a gcatch batch journal", path.display()));
-        }
-        let want = fingerprint(ids);
-        if !header.contains(&format!("\"fingerprint\":\"{want}\"")) {
-            return Err(format!(
-                "journal {} was written for a different job set",
-                path.display()
-            ));
-        }
-        let mut records = Vec::new();
-        for line in lines {
-            if !line.ends_with('\n') {
-                break;
-            }
-            match parse_record_line(line.trim_end_matches('\n'), codec) {
-                Some(rec) => records.push(rec),
-                None => break,
-            }
-        }
-        Ok(records)
+        Ok(read_journal(path, ids, codec)?.records)
     }
 
     /// Appends one decided job and fsyncs.
     pub fn record<T>(&self, rec: &JobRecord<T>, codec: &JournalCodec<T>) -> std::io::Result<()> {
-        let mut line = String::from("{\"job\":\"");
-        escape_json(&rec.id, &mut line);
-        line.push_str("\",\"status\":\"");
-        // Resumed records are not re-journaled; callers only pass
-        // Done/Quarantined, but keep the label honest either way.
-        line.push_str(match rec.status {
-            JobStatus::Quarantined => "quarantined",
-            _ => "done",
-        });
-        line.push_str("\",\"attempts\":");
-        line.push_str(&rec.attempts.to_string());
-        if let Some(inc) = &rec.incident {
-            line.push_str(",\"incident\":\"");
-            escape_json(&inc.message, &mut line);
-            line.push('"');
-            // The flight dump rides along so a resumed run reconstructs
-            // the quarantine postmortem byte-for-byte.
-            if !inc.flight.is_empty() {
-                line.push_str(",\"flight\":[");
-                for (i, fl) in inc.flight.iter().enumerate() {
-                    if i > 0 {
-                        line.push(',');
-                    }
-                    line.push('"');
-                    escape_json(fl, &mut line);
-                    line.push('"');
-                }
-                line.push(']');
-            }
-        }
-        line.push_str(",\"payload\":");
-        match &rec.payload {
-            Some(p) => line.push_str(&(codec.encode)(p)),
-            None => line.push_str("null"),
-        }
-        line.push_str("}\n");
-        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        file.write_all(line.as_bytes())?;
-        file.sync_data()
+        let line = render_record_line(rec, codec);
+        let mut log = self.log.lock().unwrap_or_else(|e| e.into_inner());
+        log.append(&line)
     }
 }
 
-/// Parses one JSON string literal starting at `s` (which must begin with
-/// the opening quote's *content*, i.e. just after `"`). Returns the
-/// unescaped string and the rest after the closing quote.
-pub(crate) fn parse_json_string(s: &str) -> Option<(String, &str)> {
-    let mut out = String::new();
-    let mut chars = s.char_indices();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => return Some((out, &s[i + 1..])),
-            '\\' => match chars.next()?.1 {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let (j, _) = chars.next()?;
-                    let hex = s.get(j..j + 4)?;
-                    let code = u32::from_str_radix(hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                    // Consume the remaining three hex digits.
-                    for _ in 0..3 {
-                        chars.next()?;
-                    }
+/// The one recovery pass behind [`Journal::open_resume`] and
+/// [`Journal::read_records`]: the [`durable`] rule plus this journal's
+/// header check.
+fn read_journal<T>(
+    path: &Path,
+    ids: &[String],
+    codec: &JournalCodec<T>,
+) -> Result<durable::Recovered<JobRecord<T>>, String> {
+    let recovered = durable::read_log(path, |line| parse_record_line(line, codec))
+        .map_err(|e| format!("cannot read journal {}: {e}", path.display()))?;
+    let header = recovered.header.as_deref().unwrap_or("");
+    if !header.starts_with(&format!("{{\"{JOURNAL_MAGIC}\":")) {
+        return Err(format!("{} is not a gcatch batch journal", path.display()));
+    }
+    if !header.contains(&format!("\"fingerprint\":\"{}\"", fingerprint(ids))) {
+        return Err(format!(
+            "journal {} was written for a different job set",
+            path.display()
+        ));
+    }
+    Ok(recovered)
+}
+
+/// Renders one decided job as a journal record line (without the `\n`).
+fn render_record_line<T>(rec: &JobRecord<T>, codec: &JournalCodec<T>) -> String {
+    let mut line = String::from("{\"job\":\"");
+    escape_json(&rec.id, &mut line);
+    line.push_str("\",\"status\":\"");
+    // Resumed records are not re-journaled; callers only pass
+    // Done/Quarantined, but keep the label honest either way.
+    line.push_str(match rec.status {
+        JobStatus::Quarantined => "quarantined",
+        _ => "done",
+    });
+    line.push_str("\",\"attempts\":");
+    line.push_str(&rec.attempts.to_string());
+    if let Some(inc) = &rec.incident {
+        line.push_str(",\"incident\":\"");
+        escape_json(&inc.message, &mut line);
+        line.push('"');
+        // The flight dump rides along so a resumed run reconstructs
+        // the quarantine postmortem byte-for-byte.
+        if !inc.flight.is_empty() {
+            line.push_str(",\"flight\":[");
+            for (i, fl) in inc.flight.iter().enumerate() {
+                if i > 0 {
+                    line.push(',');
                 }
-                _ => return None,
-            },
-            c => out.push(c),
+                line.push('"');
+                escape_json(fl, &mut line);
+                line.push('"');
+            }
+            line.push(']');
         }
     }
-    None
+    line.push_str(",\"payload\":");
+    match &rec.payload {
+        Some(p) => line.push_str(&(codec.encode)(p)),
+        None => line.push_str("null"),
+    }
+    line.push('}');
+    line
 }
 
 /// Parses one journal record line (without the trailing newline).
 pub(crate) fn parse_record_line<T>(line: &str, codec: &JournalCodec<T>) -> Option<JobRecord<T>> {
-    let rest = line.strip_prefix("{\"job\":\"")?;
-    let (id, rest) = parse_json_string(rest)?;
-    let rest = rest.strip_prefix(",\"status\":\"")?;
-    let (status, rest) = parse_json_string(rest)?;
-    let rest = rest.strip_prefix(",\"attempts\":")?;
-    let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-    let attempts: u32 = digits.parse().ok()?;
-    let rest = &rest[digits.len()..];
-    let (incident, rest) = match rest.strip_prefix(",\"incident\":\"") {
+    let (id, rest) = json_unquote(line.strip_prefix("{\"job\":")?)?;
+    let (status, rest) = json_unquote(rest.strip_prefix(",\"status\":")?)?;
+    let (attempts, rest) = json_uint(rest.strip_prefix(",\"attempts\":")?)?;
+    let (incident, rest) = match rest.strip_prefix(",\"incident\":") {
         Some(r) => {
-            let (msg, r) = parse_json_string(r)?;
+            let (msg, r) = json_unquote(r)?;
             let (flight, r) = match r.strip_prefix(",\"flight\":[") {
-                Some(mut fl_rest) => {
+                Some(mut rest) => {
                     let mut lines = Vec::new();
-                    match fl_rest.strip_prefix(']') {
-                        Some(after) => (lines, after),
-                        None => loop {
-                            let body = fl_rest.strip_prefix('"')?;
-                            let (fl, after) = parse_json_string(body)?;
-                            lines.push(fl);
-                            if let Some(more) = after.strip_prefix(',') {
-                                fl_rest = more;
-                            } else {
-                                break (lines, after.strip_prefix(']')?);
-                            }
-                        },
+                    while let Some((line, after)) = json_unquote(rest) {
+                        lines.push(line);
+                        rest = after.strip_prefix(',').unwrap_or(after);
                     }
+                    (lines, rest.strip_prefix(']')?)
                 }
                 None => (Vec::new(), r),
             };
@@ -555,28 +476,19 @@ pub(crate) fn parse_record_line<T>(line: &str, codec: &JournalCodec<T>) -> Optio
         None => (None, rest),
     };
     let payload_raw = rest.strip_prefix(",\"payload\":")?.strip_suffix('}')?;
-    match status.as_str() {
-        "done" => {
-            let payload = (codec.decode)(payload_raw)?;
-            Some(JobRecord {
-                id,
-                status: JobStatus::Done,
-                attempts,
-                payload: Some(payload),
-                incident: None,
-                wall: Duration::ZERO,
-            })
-        }
-        "quarantined" => Some(JobRecord {
-            id,
-            status: JobStatus::Quarantined,
-            attempts,
-            payload: None,
-            incident,
-            wall: Duration::ZERO,
-        }),
-        _ => None,
-    }
+    let (status, payload) = match status.as_str() {
+        "done" => (JobStatus::Done, Some((codec.decode)(payload_raw)?)),
+        "quarantined" => (JobStatus::Quarantined, None),
+        _ => return None,
+    };
+    Some(JobRecord {
+        id,
+        status,
+        attempts,
+        payload,
+        incident: incident.filter(|_| status == JobStatus::Quarantined),
+        wall: Duration::ZERO,
+    })
 }
 
 // ---------------------------------------------------------------- engine
@@ -1309,6 +1221,7 @@ impl<'t> BatchEngine<'t> {
 mod tests {
     use super::*;
     use crate::trace::TraceLevel;
+    use std::collections::BTreeSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -1581,43 +1494,124 @@ mod tests {
             Some("{\"module\":\"mod-1\"}")
         );
 
-        // Truncation mid-line: the torn record is dropped, its job re-runs.
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes.truncate(bytes.len() - 7);
-        std::fs::write(&path, &bytes).unwrap();
-        let (torn, partial) = Journal::open_resume(&path, &ids, &codec).unwrap();
-        assert_eq!(partial.len(), 2, "torn trailing line dropped");
-        // Two workers finish in either order, so the torn line may belong
-        // to any job; re-record whichever one it was.
-        let lost = ids
-            .iter()
-            .find(|id| !partial.contains_key(*id))
-            .expect("one job lost its line")
-            .clone();
-
-        // Self-healing: the torn tail is chopped before appending, so a
-        // record written now is visible to the *next* resume too.
-        torn.record(
-            &JobRecord {
-                payload: Some(format!("{{\"module\":\"{lost}\"}}")),
-                id: lost,
-                status: JobStatus::Done,
-                attempts: 1,
-                incident: None,
-                wall: Duration::ZERO,
-            },
-            &codec,
-        )
-        .unwrap();
-        drop(torn);
-        let (_, healed) = Journal::open_resume(&path, &ids, &codec).unwrap();
-        assert_eq!(healed.len(), 3, "appended record survives a second resume");
-
         // A different job set is refused.
         let other: Vec<String> = vec!["unrelated".to_string()];
         let err = Journal::open_resume(&path, &other, &codec).unwrap_err();
         assert!(err.contains("different job set"), "{err}");
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Cuts a finished journal at every byte offset and resumes from
+    /// each cut: exactly the records completed before the cut come back,
+    /// exactly the other jobs re-run, and the merged outcome renders
+    /// byte-identical to the uninterrupted run.
+    #[test]
+    fn resume_is_exact_from_every_byte_offset_of_the_journal() {
+        let dir = std::env::temp_dir().join(format!(
+            "gcatch-batch-offsets-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.journal");
+        let ids: Vec<String> = ["mod-0", "sick \"one\"", "mod-2", "mod-3"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let codec = JournalCodec::raw_json();
+        let (telemetry, tracer) = engine_parts();
+        let engine = BatchEngine::new(
+            no_hedge(BatchConfig {
+                workers: 1,
+                ..BatchConfig::default()
+            }),
+            &telemetry,
+            &tracer,
+        )
+        .with_sleeper(|_, _, _| {});
+        let ran: Mutex<Vec<String>> = Mutex::default();
+        let jobs: Vec<BatchJob<'_, String>> = ids
+            .iter()
+            .map(|id| {
+                let (id, ran) = (id.clone(), &ran);
+                BatchJob::new(id.clone(), move |_: &JobCtx| {
+                    ran.lock().unwrap().push(id.clone());
+                    if id.starts_with("sick") {
+                        // Identical failures quarantine; the message and
+                        // so the flight dump span lines and need escaping.
+                        Err("panic: \"boom\"\nsecond line".to_string())
+                    } else {
+                        Ok(format!("{{\"module\":\"{id}\"}}"))
+                    }
+                })
+            })
+            .collect();
+        let render = |outcome: &BatchOutcome<String>| -> Vec<String> {
+            outcome
+                .records
+                .iter()
+                .map(|r| render_record_line(r, &codec))
+                .collect()
+        };
+
+        let journal = Journal::create(&path, &ids).unwrap();
+        let uninterrupted = engine.run(&jobs, Some((&journal, &codec)), BTreeMap::new());
+        drop(journal);
+        assert_eq!(uninterrupted.quarantined, 1);
+        let full = std::fs::read(&path).unwrap();
+        let text = std::str::from_utf8(&full).unwrap();
+        let header_end = text.find('\n').unwrap() + 1;
+        // (offset just past the line's `\n`, job id) per record line.
+        let mut line_ends = Vec::new();
+        let mut at = header_end;
+        for line in text[header_end..].split_inclusive('\n') {
+            at += line.len();
+            let rec = parse_record_line(line.trim_end_matches('\n'), &codec).unwrap();
+            line_ends.push((at, rec.id));
+        }
+        assert_eq!(line_ends.len(), ids.len());
+        assert!(
+            text.contains(r#","flight":["#)
+                && text.matches(r#"\"boom\"\nsecond line"#).count() >= 2,
+            "quarantine message and flight dump journaled escaped: {text}"
+        );
+
+        for cut in 0..=full.len() {
+            std::fs::write(&path, &full[..cut]).unwrap();
+            if cut < header_end {
+                let err = Journal::open_resume(&path, &ids, &codec).unwrap_err();
+                assert!(
+                    err.contains("not a gcatch batch journal"),
+                    "cut {cut}: {err}"
+                );
+                continue;
+            }
+            let (journal, restored) = Journal::open_resume(&path, &ids, &codec).unwrap();
+            let kept: BTreeSet<String> = line_ends
+                .iter()
+                .filter(|(end, _)| *end <= cut)
+                .map(|(_, id)| id.clone())
+                .collect();
+            assert_eq!(
+                restored.keys().cloned().collect::<BTreeSet<_>>(),
+                kept,
+                "cut {cut}"
+            );
+            ran.lock().unwrap().clear();
+            let resumed = engine.run(&jobs, Some((&journal, &codec)), restored);
+            drop(journal);
+            let rerun: BTreeSet<String> = ran.lock().unwrap().iter().cloned().collect();
+            let lost: BTreeSet<String> = ids
+                .iter()
+                .filter(|id| !kept.contains(*id))
+                .cloned()
+                .collect();
+            assert_eq!(rerun, lost, "cut {cut}: exactly the lost jobs re-run");
+            assert_eq!(render(&resumed), render(&uninterrupted), "cut {cut}");
+            let (_, again) = Journal::open_resume(&path, &ids, &codec).unwrap();
+            assert_eq!(again.len(), ids.len(), "cut {cut}: every job restored");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -205,7 +205,7 @@ fn canon_key(prims: &Primitives, combo: &Combo, query: &Query<'_>, step_limit: u
 }
 
 /// Session-global cross-channel verdict cache: structurally identical
-/// queries (see [`canon_key`]) share one solved outcome. Only definitive
+/// queries (keyed by `canon_key`) share one solved outcome. Only definitive
 /// verdicts are stored (`true` = blocking, `false` = safe); `Unknown` is
 /// never cached. A `Blocking` hit still re-derives its witness and
 /// provenance from the *actual* combination via the canonical fresh

@@ -115,7 +115,9 @@ fn stable_id(report: &BugReport) -> String {
 // ------------------------------------------------------------------- JSON
 
 /// Escapes a string for a JSON string literal (quotes not included).
-pub(crate) fn escape_json(s: &str, out: &mut String) {
+/// Reports, traces, journals and the serve cache index all escape
+/// through here, so a string round-trips through `json_unquote`.
+pub fn escape_json(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -129,6 +131,47 @@ pub(crate) fn escape_json(s: &str, out: &mut String) {
             c => out.push(c),
         }
     }
+}
+
+/// Decodes a JSON string literal at the head of `s` (including the
+/// quotes) — the inverse of [`escape_json`]; returns the decoded text
+/// and the rest of the input.
+pub(crate) fn json_unquote(s: &str) -> Option<(String, &str)> {
+    let rest = s.strip_prefix('"')?;
+    let mut out = String::new();
+    let mut chars = rest.char_indices();
+    while let Some((i, c)) = chars.next() {
+        match c {
+            '"' => return Some((out, &rest[i + 1..])),
+            '\\' => match chars.next()?.1 {
+                '"' => out.push('"'),
+                '\\' => out.push('\\'),
+                '/' => out.push('/'),
+                'n' => out.push('\n'),
+                't' => out.push('\t'),
+                'r' => out.push('\r'),
+                'b' => out.push('\u{8}'),
+                'f' => out.push('\u{c}'),
+                'u' => {
+                    let mut code = 0u32;
+                    for _ in 0..4 {
+                        code = code * 16 + chars.next()?.1.to_digit(16)?;
+                    }
+                    out.push(char::from_u32(code)?);
+                }
+                _ => return None,
+            },
+            _ => out.push(c),
+        }
+    }
+    None
+}
+
+/// Decodes an unsigned JSON integer at the head of `s`; returns it and
+/// the rest of the input.
+pub(crate) fn json_uint<N: std::str::FromStr>(s: &str) -> Option<(N, &str)> {
+    let end = s.find(|c: char| !c.is_ascii_digit()).unwrap_or(s.len());
+    Some((s[..end].parse().ok()?, &s[end..]))
 }
 
 fn push_str_field(out: &mut String, key: &str, value: &str) {
@@ -406,6 +449,20 @@ mod tests {
             notes: "scope root: Exec".into(),
             provenance: None,
         }
+    }
+
+    #[test]
+    fn json_unquote_inverts_escape_json() {
+        let (s, rest) = json_unquote(r#""a\"b\\c\nA" tail"#).unwrap();
+        assert_eq!(s, "a\"b\\c\nA");
+        assert_eq!(rest, " tail");
+        assert!(json_unquote("\"unterminated").is_none());
+        assert!(json_unquote("no quote").is_none());
+        let raw = "q\"\\\n\r\t\u{1}é";
+        let mut quoted = String::from("\"");
+        escape_json(raw, &mut quoted);
+        quoted.push('"');
+        assert_eq!(json_unquote(&quoted), Some((raw.to_string(), "")));
     }
 
     #[test]

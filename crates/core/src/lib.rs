@@ -39,6 +39,8 @@
 //!   JSONL) and the per-job [`FlightRecorder`] attached to quarantine
 //!   incidents;
 //! * [`progress`] — live batch progress snapshots (`batch --progress`);
+//! * [`durable`] — the one crash-safe file layer: line-log recovery,
+//!   heal before append, atomic replace, exclusive create and remove;
 //! * [`sweep`] — the multi-process sweep coordinator: lease-based on-disk
 //!   work queue, heartbeat supervision, dead-worker re-lease, and the
 //!   byte-deterministic journal merge (`gcatch sweep`);
@@ -90,6 +92,7 @@ pub mod constraints;
 pub mod detector;
 pub mod diagnostics;
 pub mod disentangle;
+pub mod durable;
 pub mod events;
 pub mod faults;
 pub mod metrics;

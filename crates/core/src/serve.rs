@@ -42,20 +42,18 @@
 //!   `gcatch check`, because a cached response is the byte-for-byte
 //!   result of a pure function of `(op, source, config)`.
 //!
-//! Fault sites [`SITE_SERVE_ACCEPT`](crate::faults::SITE_SERVE_ACCEPT)
-//! (contained connection-setup panic),
-//! [`SITE_SERVE_REQUEST`](crate::faults::SITE_SERVE_REQUEST) (injected
-//! request panic / slow request, keys `exec` and `delay`), and
-//! [`SITE_SERVE_CACHE`](crate::faults::SITE_SERVE_CACHE) (a cache index
-//! entry written deliberately corrupt) drive every failure path
+//! Fault sites [`SITE_SERVE_ACCEPT`] (contained connection-setup panic),
+//! [`SITE_SERVE_REQUEST`] (injected request panic / slow request, keys
+//! `exec` and `delay`), and [`SITE_SERVE_CACHE`] (a cache index entry
+//! written deliberately corrupt) drive every failure path
 //! deterministically in `(seed, site, request id)`.
 
-use crate::diagnostics::escape_json;
+use crate::diagnostics::{escape_json, json_unquote};
+use crate::durable;
 use crate::events::{Event, EventBus, EventKind, Field};
 use crate::faults::{self, FaultPlan, SITE_SERVE_ACCEPT, SITE_SERVE_CACHE, SITE_SERVE_REQUEST};
 use crate::resilience::{catch_isolated, Budget, Incident, IncidentKind};
 use crate::signals;
-use crate::sweep::write_file_atomic;
 use crate::telemetry::{Counter, Telemetry};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
@@ -197,39 +195,6 @@ pub struct ServeSummary {
 // Minimal flat-JSON parsing (requests are one-level objects of strings and
 // integers; the repo is dependency-free by policy, so no serde).
 // ---------------------------------------------------------------------------
-
-/// Decodes a JSON string literal at the head of `s` (including the
-/// quotes); returns the decoded text and the rest of the input.
-fn json_unquote(s: &str) -> Option<(String, &str)> {
-    let rest = s.strip_prefix('"')?;
-    let mut out = String::new();
-    let mut chars = rest.char_indices();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => return Some((out, &rest[i + 1..])),
-            '\\' => match chars.next()?.1 {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                '/' => out.push('/'),
-                'n' => out.push('\n'),
-                't' => out.push('\t'),
-                'r' => out.push('\r'),
-                'b' => out.push('\u{8}'),
-                'f' => out.push('\u{c}'),
-                'u' => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        code = code * 16 + chars.next()?.1.to_digit(16)?;
-                    }
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            _ => out.push(c),
-        }
-    }
-    None
-}
 
 #[derive(Debug)]
 enum Val {
@@ -407,14 +372,18 @@ pub struct CacheLoad {
     pub dropped: usize,
 }
 
-/// Content-addressed response cache with a journal-style on-disk index.
+/// Content-addressed response cache with a journal-style on-disk index:
+/// a [`durable`] line log.
 ///
-/// Each insert appends one fsync'd line; the load path drops anything
-/// unparseable (torn tail from a crash mid-append, injected corruption)
-/// and compacts the surviving entries atomically, so the index is *always*
-/// either absent, or a valid prefix-healed journal — never a parse error.
+/// Each insert appends one fsync'd line through a handle kept open for
+/// the cache's life; the load path drops anything unparseable (torn tail
+/// from a crash mid-append, injected corruption) and compacts the
+/// surviving entries atomically, so the index is *always* either absent,
+/// or a valid prefix-healed journal — never a parse error.
 pub struct ResponseCache {
-    index: Option<PathBuf>,
+    /// The index path and its append handle, reopened by every
+    /// compaction (the rename replaces the file the old handle wrote).
+    index: Option<(PathBuf, durable::Appender)>,
     header: String,
     entries: BTreeMap<String, CacheEntry>,
     order: VecDeque<String>,
@@ -455,7 +424,7 @@ impl ResponseCache {
             .map_err(|e| format!("cannot create cache dir `{}`: {e}", dir.display()))?;
         let index = dir.join(CACHE_INDEX);
         let mut load = CacheLoad::default();
-        match std::fs::read_to_string(&index) {
+        match durable::read_log(&index, parse_cache_entry) {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => {
                 return Err(format!(
@@ -463,45 +432,33 @@ impl ResponseCache {
                     index.display()
                 ))
             }
-            Ok(contents) => {
-                let complete = contents.ends_with('\n');
-                let lines: Vec<&str> = contents.lines().collect();
-                if lines.first() != Some(&cache.header.as_str()) {
-                    // Different fingerprint (or garbage where the header
-                    // should be): the whole index is stale.
-                    load.dropped = lines.len();
-                } else {
-                    for (i, line) in lines.iter().enumerate().skip(1) {
-                        let torn_tail = i + 1 == lines.len() && !complete;
-                        match (torn_tail, parse_cache_entry(line)) {
-                            (false, Some((key, module, result))) => {
-                                let entry = CacheEntry { module, result };
-                                if cache.entries.insert(key.clone(), entry).is_none() {
-                                    cache.order.push_back(key);
-                                } else {
-                                    cache.order.retain(|k| *k != key);
-                                    cache.order.push_back(key);
-                                }
-                                load.restored += 1;
-                            }
-                            _ => load.dropped += 1,
-                        }
+            Ok(log) if log.header.as_deref() == Some(cache.header.as_str()) => {
+                load.dropped = log.skipped + usize::from(log.torn);
+                for (key, module, result) in log.records {
+                    let entry = CacheEntry { module, result };
+                    if cache.entries.insert(key.clone(), entry).is_some() {
+                        cache.order.retain(|k| *k != key);
                     }
+                    cache.order.push_back(key);
+                    load.restored += 1;
                 }
             }
-        }
-        while cache.order.len() > capacity {
-            if let Some(old) = cache.order.pop_front() {
-                cache.entries.remove(&old);
-                load.restored -= 1;
-                load.dropped += 1;
+            // Different fingerprint (or garbage where the header should
+            // be): every line of the index is stale.
+            Ok(log) => {
+                load.dropped = usize::from(log.header.is_some())
+                    + log.records.len()
+                    + log.skipped
+                    + usize::from(log.torn);
             }
         }
-        cache.index = Some(index);
+        let evicted = cache.evict();
+        load.restored -= evicted;
+        load.dropped += evicted;
         // Compact: the rewritten index holds exactly the surviving
-        // entries, atomically (tmp + fsync + rename + dir fsync).
+        // entries, atomically, and the append handle opens on it.
         cache
-            .rewrite()
+            .rewrite(index)
             .map_err(|e| format!("cannot rewrite cache index: {e}"))?;
         Ok((cache, load))
     }
@@ -532,19 +489,27 @@ impl ResponseCache {
         line
     }
 
-    fn rewrite(&self) -> std::io::Result<()> {
-        let Some(index) = &self.index else {
-            return Ok(());
-        };
-        let mut contents = self.header.clone();
-        contents.push('\n');
-        for key in &self.order {
-            if let Some(entry) = self.entries.get(key) {
-                contents.push_str(&Self::render_entry(key, &entry.module, &entry.result));
-                contents.push('\n');
-            }
+    /// Drops the oldest entries past capacity; returns how many.
+    fn evict(&mut self) -> usize {
+        let excess = self.order.len().saturating_sub(self.capacity);
+        for old in self.order.drain(..excess) {
+            self.entries.remove(&old);
         }
-        write_file_atomic(index, &contents)
+        excess
+    }
+
+    /// Atomically rewrites the index at `path` to hold exactly the
+    /// in-memory entries and makes it the append target. The caller has
+    /// dropped the old handle: it points at the file the rename replaces,
+    /// so if the rewrite fails the cache stays memory-only.
+    fn rewrite(&mut self, path: PathBuf) -> std::io::Result<()> {
+        let lines = self.order.iter().filter_map(|key| {
+            let entry = self.entries.get(key)?;
+            Some(Self::render_entry(key, &entry.module, &entry.result))
+        });
+        let log = durable::write_log(&path, &self.header, lines)?;
+        self.index = Some((path, log));
+        Ok(())
     }
 
     /// Inserts a response, appending one fsync'd index line. With
@@ -553,7 +518,7 @@ impl ResponseCache {
     /// the next startup drops the bad line and recomputes. Returns the
     /// number of evicted entries. Disk errors degrade the cache to
     /// memory-only for this entry (the response is already correct);
-    /// the caller surfaces them — [`Server::execute`] warns once on
+    /// the caller surfaces them — `Server::execute` warns once on
     /// stderr and emits an `incident` event per failed append.
     pub fn insert(
         &mut self,
@@ -566,29 +531,20 @@ impl ResponseCache {
             return Ok(0);
         }
         let mut io_result = Ok(());
-        if let Some(index) = &self.index {
-            let line = Self::render_entry(key, module, result);
-            let persisted = if corrupt {
-                // Keep the newline so later appends stay line-aligned;
-                // the half-line itself can never parse back. The midpoint
+        if let Some((_, log)) = &mut self.index {
+            let mut line = Self::render_entry(key, module, result);
+            if corrupt {
+                // The half-line can never parse back; the framing newline
+                // still keeps later appends line-aligned. The midpoint
                 // may fall inside a multibyte character — back up to a
                 // boundary so the slice cannot panic.
                 let mut mid = line.len() / 2;
                 while !line.is_char_boundary(mid) {
                     mid -= 1;
                 }
-                format!("{}\n", &line[..mid])
-            } else {
-                format!("{line}\n")
-            };
-            io_result = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(index)
-                .and_then(|mut f| {
-                    f.write_all(persisted.as_bytes())?;
-                    f.sync_data()
-                });
+                line.truncate(mid);
+            }
+            io_result = log.append(&line);
         }
         let entry = CacheEntry {
             module: module.to_string(),
@@ -596,16 +552,12 @@ impl ResponseCache {
         };
         self.entries.insert(key.to_string(), entry);
         self.order.push_back(key.to_string());
-        let mut evicted = 0;
-        while self.order.len() > self.capacity {
-            if let Some(old) = self.order.pop_front() {
-                self.entries.remove(&old);
-                evicted += 1;
-            }
-        }
+        let evicted = self.evict();
         if evicted > 0 {
             // Keep the on-disk index bounded too.
-            self.rewrite()?;
+            if let Some((path, _)) = self.index.take() {
+                self.rewrite(path)?;
+            }
         }
         io_result.map(|()| evicted)
     }
@@ -1398,15 +1350,6 @@ mod tests {
     }
 
     #[test]
-    fn json_unquote_handles_escapes() {
-        let (s, rest) = json_unquote(r#""a\"b\\c\nA" tail"#).unwrap();
-        assert_eq!(s, "a\"b\\c\nA");
-        assert_eq!(rest, " tail");
-        assert!(json_unquote("\"unterminated").is_none());
-        assert!(json_unquote("no quote").is_none());
-    }
-
-    #[test]
     fn cache_round_trips_and_heals_corruption() {
         let dir = scratch("cache");
         {
@@ -1424,15 +1367,10 @@ mod tests {
                 .unwrap();
             assert_eq!(cache.len(), 3);
         }
-        // Simulate a crash mid-append: torn final line.
         let index = dir.join(CACHE_INDEX);
-        let mut contents = std::fs::read_to_string(&index).unwrap();
-        contents.push_str("{\"key\":\"check:dddd\",\"mod");
-        std::fs::write(&index, &contents).unwrap();
-
         let (cache, load) = ResponseCache::open(Some(&dir), 8, "fp1").unwrap();
         assert_eq!(load.restored, 2, "intact entries survive");
-        assert_eq!(load.dropped, 2, "corrupt + torn entries dropped");
+        assert_eq!(load.dropped, 1, "the corrupt entry is dropped");
         assert_eq!(cache.get("check:aaaa").unwrap(), "{\"bugs\":1}");
         assert_eq!(cache.get("check:bbbb").unwrap(), "{\"bugs\":0}");
         assert!(cache.get("check:cccc").is_none());
@@ -1449,6 +1387,67 @@ mod tests {
         assert!(cache.is_empty());
         assert_eq!(load3.restored, 0);
         assert!(load3.dropped >= 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Cuts a cache index at every byte offset and reopens: exactly the
+    /// entries whose lines are complete come back, the compacted index is
+    /// exactly their lines, and an insert after the reopen (through the
+    /// handle reopened on the compacted file) survives the next reopen.
+    #[test]
+    fn cache_index_heals_from_every_byte_offset() {
+        let dir = scratch("offsets");
+        let entries = [
+            ("check:aaaa", "m1.go", "{\"bugs\":1}"),
+            ("check:bbbb", "mödülé.go", "{\"text\":\"é😀\"}"),
+            ("check:cccc", "m3.go", "{\"bugs\":0}"),
+        ];
+        {
+            let (mut cache, _) = ResponseCache::open(Some(&dir), 8, "fp").unwrap();
+            for (key, module, result) in entries {
+                cache.insert(key, module, result, false).unwrap();
+            }
+        }
+        let index = dir.join(CACHE_INDEX);
+        let full = std::fs::read(&index).unwrap();
+        // Offset just past each line's `\n`: the header, then each entry.
+        let ends: Vec<usize> = full
+            .iter()
+            .enumerate()
+            .filter(|(_, &b)| b == b'\n')
+            .map(|(i, _)| i + 1)
+            .collect();
+        assert_eq!(ends.len(), 1 + entries.len());
+        for cut in 0..=full.len() {
+            std::fs::write(&index, &full[..cut]).unwrap();
+            let kept = ends[1..].iter().filter(|&&e| e <= cut).count();
+            let (mut cache, load) = ResponseCache::open(Some(&dir), 8, "fp").unwrap();
+            assert_eq!(load.restored, kept, "cut {cut}");
+            assert_eq!(cache.len(), kept, "cut {cut}");
+            for (key, _, result) in &entries[..kept] {
+                assert_eq!(
+                    cache.get(key).map(String::as_str),
+                    Some(*result),
+                    "cut {cut}"
+                );
+            }
+            let compacted = std::fs::read(&index).unwrap();
+            assert_eq!(compacted, full[..ends[kept]], "cut {cut}: compacted prefix");
+
+            cache
+                .insert("check:dddd", "m4.go", "{\"bugs\":4}", false)
+                .unwrap();
+            drop(cache);
+            let (cache, load) = ResponseCache::open(Some(&dir), 8, "fp").unwrap();
+            assert_eq!((load.restored, load.dropped), (kept + 1, 0), "cut {cut}");
+            assert_eq!(
+                cache.get("check:dddd").unwrap(),
+                "{\"bugs\":4}",
+                "cut {cut}"
+            );
+            let reloaded = std::fs::read(&index).unwrap();
+            assert_eq!(reloaded[..compacted.len()], compacted[..], "cut {cut}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -37,18 +37,19 @@
 //!   [`DuplicateDecision`] incident instead of corrupting the report.
 //!
 //! Directory-entry durability is part of the protocol: every create,
-//! rename, and remove under the sweep directory is followed by an fsync of
-//! the containing directory ([`fsync_dir`]), so a metadata-losing crash
-//! cannot orphan a decided job or resurrect a released lease.
+//! rename, and remove under the sweep directory goes through [`durable`],
+//! which follows it with an fsync of the containing directory, so a
+//! metadata-losing crash cannot orphan a decided job or resurrect a
+//! released lease.
 
-use crate::batch::{fingerprint, parse_json_string, JobRecord, JobStatus, Journal, JournalCodec};
-use crate::diagnostics::escape_json;
+use crate::batch::{fingerprint, JobRecord, JobStatus, Journal, JournalCodec};
+use crate::diagnostics::{escape_json, json_uint, json_unquote};
+use crate::durable;
 use crate::events::{Event, EventBus, EventKind, Field, FlightRecorder};
 use crate::progress::ProgressSnapshot;
 use crate::resilience::{Incident, IncidentKind};
 use crate::telemetry::{Counter, Telemetry};
 use std::collections::BTreeMap;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::Child;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -57,47 +58,6 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 /// the process self-terminates mid-job (a simulated crash, distinguishable
 /// from real panics in CI logs).
 pub const WORKER_KILL_EXIT: i32 = 17;
-
-/// Fsyncs a directory so directory-entry mutations (create/rename/remove)
-/// inside it become durable. On filesystems where directories cannot be
-/// fsynced the error is reported to the caller.
-pub fn fsync_dir(dir: &Path) -> std::io::Result<()> {
-    std::fs::File::open(dir)?.sync_all()
-}
-
-/// [`fsync_dir`] on a file's parent directory (no-op for bare filenames,
-/// whose parent `""` means the CWD — opened as `.`).
-pub fn fsync_parent(path: &Path) -> std::io::Result<()> {
-    match path.parent() {
-        Some(dir) if dir.as_os_str().is_empty() => fsync_dir(Path::new(".")),
-        Some(dir) => fsync_dir(dir),
-        None => Ok(()),
-    }
-}
-
-/// Writes a file atomically: temp file in the same directory, contents +
-/// fsync, rename over the target, fsync the directory.
-pub fn write_file_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
-    let tmp = match (path.parent(), path.file_name()) {
-        (Some(dir), Some(name)) => dir.join(format!(
-            ".{}.tmp-{}",
-            name.to_string_lossy(),
-            std::process::id()
-        )),
-        _ => {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "path has no parent/file name",
-            ))
-        }
-    };
-    let mut file = std::fs::File::create(&tmp)?;
-    file.write_all(contents.as_bytes())?;
-    file.sync_all()?;
-    drop(file);
-    std::fs::rename(&tmp, path)?;
-    fsync_parent(path)
-}
 
 /// Milliseconds since the UNIX epoch (lease deadlines; all sweep
 /// processes run on one machine, so one clock serves them all).
@@ -201,8 +161,8 @@ impl SweepLayout {
 
     /// Creates the whole directory tree and makes it durable.
     pub fn init(&self) -> std::io::Result<()> {
-        std::fs::create_dir_all(&self.root)?;
         for dir in [
+            self.root.clone(),
             self.leases_dir(),
             self.heartbeats_dir(),
             self.journals_dir(),
@@ -210,10 +170,9 @@ impl SweepLayout {
             self.releases_dir(),
             self.pids_dir(),
         ] {
-            std::fs::create_dir_all(&dir)?;
+            durable::create_dir_all(&dir)?;
         }
-        fsync_dir(&self.root)?;
-        fsync_parent(&self.root)
+        Ok(())
     }
 }
 
@@ -239,39 +198,36 @@ pub fn write_manifest(layout: &SweepLayout, ids: &[String]) -> std::io::Result<(
         escape_json(id, &mut out);
         out.push_str("\"\n");
     }
-    write_file_atomic(&layout.manifest_path(), &out)
+    durable::replace(&layout.manifest_path(), out)
 }
 
 /// Reads and validates the manifest, returning the job ids in submission
 /// order.
 pub fn read_manifest(layout: &SweepLayout) -> Result<Vec<String>, String> {
     let path = layout.manifest_path();
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read manifest {}: {e}", path.display()))?;
-    let mut lines = text.lines();
-    let header = lines.next().unwrap_or("");
+    let manifest = durable::read_log(&path, |line| match json_unquote(line)? {
+        (id, "") => Some(id),
+        _ => None,
+    })
+    .map_err(|e| format!("cannot read manifest {}: {e}", path.display()))?;
+    let header = manifest.header.unwrap_or_default();
     if !header.starts_with(&format!("{{\"{MANIFEST_MAGIC}\":")) {
         return Err(format!("{} is not a gcatch sweep manifest", path.display()));
     }
-    let mut ids = Vec::new();
-    for line in lines {
-        let body = line
-            .strip_prefix('"')
-            .ok_or_else(|| format!("malformed manifest line in {}", path.display()))?;
-        let (id, rest) = parse_json_string(body)
-            .ok_or_else(|| format!("malformed manifest line in {}", path.display()))?;
-        if !rest.is_empty() {
-            return Err(format!("trailing garbage in manifest {}", path.display()));
-        }
-        ids.push(id);
+    // Written by one atomic replace, so any damage is tampering.
+    if manifest.skipped > 0 || manifest.torn {
+        return Err(format!("malformed manifest line in {}", path.display()));
     }
-    if !header.contains(&format!("\"fingerprint\":\"{}\"", fingerprint(&ids))) {
+    if !header.contains(&format!(
+        "\"fingerprint\":\"{}\"",
+        fingerprint(&manifest.records)
+    )) {
         return Err(format!(
             "manifest {} fingerprint does not match its job list",
             path.display()
         ));
     }
-    Ok(ids)
+    Ok(manifest.records)
 }
 
 // ---------------------------------------------------------------- leases
@@ -303,18 +259,11 @@ impl Lease {
     }
 
     fn parse(text: &str) -> Option<Lease> {
-        let rest = text.trim_end().strip_prefix("{\"job\":")?;
-        let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-        let job: usize = digits.parse().ok()?;
-        let rest = rest[digits.len()..].strip_prefix(",\"worker\":\"")?;
-        let (worker, rest) = parse_json_string(rest)?;
-        let rest = rest.strip_prefix(",\"generation\":")?;
-        let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-        let generation: u64 = digits.parse().ok()?;
-        let rest = rest[digits.len()..].strip_prefix(",\"deadline_ms\":")?;
-        let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-        let deadline_ms: u64 = digits.parse().ok()?;
-        rest[digits.len()..].strip_prefix('}')?;
+        let (job, rest) = json_uint(text.trim_end().strip_prefix("{\"job\":")?)?;
+        let (worker, rest) = json_unquote(rest.strip_prefix(",\"worker\":")?)?;
+        let (generation, rest) = json_uint(rest.strip_prefix(",\"generation\":")?)?;
+        let (deadline_ms, rest) = json_uint(rest.strip_prefix(",\"deadline_ms\":")?)?;
+        rest.strip_prefix('}')?;
         Some(Lease {
             job,
             worker,
@@ -324,9 +273,13 @@ impl Lease {
     }
 }
 
-/// Attempts to claim a job by creating its lease file with `create_new`
-/// (`O_EXCL`) — the filesystem arbitrates, so exactly one claimant wins.
-/// Returns `false` when the lease already exists.
+/// Attempts to claim a job by creating its lease file with
+/// [`durable::create_new`] (`O_EXCL`) — the filesystem arbitrates, so
+/// exactly one claimant wins. Returns `false` when the lease already
+/// exists, or when `generation` went stale before the claim landed: a
+/// release bumps the job's count *before* it removes the lease, so a
+/// claimant that read the count before that bump finds it changed once
+/// its create succeeds, and gives the lease straight back.
 pub fn try_claim(
     layout: &SweepLayout,
     job: usize,
@@ -340,19 +293,15 @@ pub fn try_claim(
         generation,
         deadline_ms: now_ms() + ttl.as_millis() as u64,
     };
-    let mut file = match std::fs::OpenOptions::new()
-        .write(true)
-        .create_new(true)
-        .open(layout.lease_path(job))
-    {
-        Ok(f) => f,
-        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => return Ok(false),
-        Err(e) => return Err(e),
-    };
-    file.write_all(lease.render().as_bytes())?;
-    file.sync_all()?;
-    drop(file);
-    fsync_dir(&layout.leases_dir())?;
+    if !durable::create_new(&layout.lease_path(job), lease.render())? {
+        return Ok(false);
+    }
+    if release_count(layout, job) != generation {
+        if read_lease(layout, job).as_ref() == Some(&lease) {
+            remove_lease(layout, job)?;
+        }
+        return Ok(false);
+    }
     Ok(true)
 }
 
@@ -380,7 +329,7 @@ pub fn renew_lease(
                 deadline_ms: now_ms() + ttl.as_millis() as u64,
                 ..cur
             };
-            write_file_atomic(&layout.lease_path(job), &renewed.render())?;
+            durable::replace(&layout.lease_path(job), renewed.render())?;
             Ok(true)
         }
         _ => Ok(false),
@@ -389,11 +338,7 @@ pub fn renew_lease(
 
 /// Removes a job's lease file (idempotent) and makes the removal durable.
 pub fn remove_lease(layout: &SweepLayout, job: usize) -> std::io::Result<()> {
-    match std::fs::remove_file(layout.lease_path(job)) {
-        Ok(()) => fsync_dir(&layout.leases_dir()),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-        Err(e) => Err(e),
-    }
+    durable::remove(&layout.lease_path(job))
 }
 
 /// A job's release count: how many times its lease was revoked and the
@@ -408,7 +353,7 @@ pub fn release_count(layout: &SweepLayout, job: usize) -> u64 {
 /// Increments a job's release counter durably and returns the new count.
 pub fn bump_release_count(layout: &SweepLayout, job: usize) -> std::io::Result<u64> {
     let next = release_count(layout, job) + 1;
-    write_file_atomic(&layout.release_path(job), &format!("{next}\n"))?;
+    durable::replace(&layout.release_path(job), format!("{next}\n"))?;
     Ok(next)
 }
 
@@ -417,15 +362,7 @@ pub fn bump_release_count(layout: &SweepLayout, job: usize) -> std::io::Result<u
 /// Durably marks a job decided (idempotent: a concurrent duplicate
 /// decision racing to the same marker is fine — the merge deduplicates).
 pub fn mark_done(layout: &SweepLayout, job: usize) -> std::io::Result<()> {
-    match std::fs::OpenOptions::new()
-        .write(true)
-        .create_new(true)
-        .open(layout.done_path(job))
-    {
-        Ok(_) => fsync_dir(&layout.done_dir()),
-        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => Ok(()),
-        Err(e) => Err(e),
-    }
+    durable::create_new(&layout.done_path(job), "").map(|_| ())
 }
 
 /// Whether a job carries a done marker.
@@ -435,7 +372,7 @@ pub fn is_done(layout: &SweepLayout, job: usize) -> bool {
 
 /// Writes the shutdown marker; workers drain and exit once they see it.
 pub fn request_shutdown(layout: &SweepLayout) -> std::io::Result<()> {
-    write_file_atomic(&layout.shutdown_path(), "shutdown\n")
+    durable::replace(&layout.shutdown_path(), "shutdown\n")
 }
 
 /// Whether the shutdown marker exists.
@@ -505,8 +442,12 @@ fn dedup_rank(status: JobStatus) -> u8 {
 }
 
 /// Folds every worker journal under `journals/` into one record set in
-/// manifest order. Journals are read without modification (torn tails are
-/// skipped, not healed); each must carry the full job set's fingerprint.
+/// manifest order. Journals are read without modification, through the
+/// same recovery pass as `--resume` ([`Journal::read_records`]: a torn
+/// tail is dropped, an unparseable line skipped); each must carry the full
+/// job set's fingerprint. Journals are created with their header in one
+/// atomic step, so a worker killed at any point leaves either no journal
+/// or a readable one.
 pub fn merge_journals(
     layout: &SweepLayout,
     ids: &[String],
@@ -918,9 +859,8 @@ impl<'t> Coordinator<'t> {
             // from a clean queue.
             if let Ok(entries) = std::fs::read_dir(self.layout.pids_dir()) {
                 for entry in entries.flatten() {
-                    let _ = std::fs::remove_file(entry.path());
+                    let _ = durable::remove(&entry.path());
                 }
-                let _ = fsync_dir(&self.layout.pids_dir());
             }
             for job in 0..n {
                 if !is_done(&self.layout, job) && read_lease(&self.layout, job).is_some() {
@@ -999,10 +939,12 @@ impl<'t> Coordinator<'t> {
         codec: &JournalCodec<String>,
         stats: &mut SweepOutcome,
     ) -> Result<(), String> {
-        remove_lease(&self.layout, job)
-            .map_err(|e| format!("cannot remove lease for job {job}: {e}"))?;
+        // Bump before removing: a claim that lands after the removal then
+        // sees the new count, so it can never run at the old generation.
         let count = bump_release_count(&self.layout, job)
             .map_err(|e| format!("cannot bump release count for job {job}: {e}"))?;
+        remove_lease(&self.layout, job)
+            .map_err(|e| format!("cannot remove lease for job {job}: {e}"))?;
         self.telemetry.add(Counter::JobsReleases, 1);
         stats.jobs_releases += 1;
         flights[job].push(format!("released back to the queue (release #{count})"));
@@ -1129,9 +1071,13 @@ mod tests {
         assert_eq!(lease.generation, 0);
         assert!(lease.deadline_ms > now_ms());
 
-        remove_lease(&layout, 0).unwrap();
         let gen = bump_release_count(&layout, 0).unwrap();
+        remove_lease(&layout, 0).unwrap();
         assert_eq!(gen, 1);
+        // A claimant that read the count before the release's bump holds
+        // a stale generation: its claim is refused and leaves no lease.
+        assert!(!try_claim(&layout, 0, "w2", 0, ttl).unwrap());
+        assert!(read_lease(&layout, 0).is_none());
         assert!(try_claim(&layout, 0, "w1", gen, ttl).unwrap());
         assert_eq!(read_lease(&layout, 0).unwrap().worker, "w1");
         cleanup(&layout);
@@ -1264,19 +1210,6 @@ mod tests {
             .unwrap();
         let merge = merge_journals(&layout, &ids, &codec).unwrap();
         assert_eq!(merge.missing, vec!["b".to_string()]);
-        cleanup(&layout);
-    }
-
-    #[test]
-    fn atomic_write_and_dir_fsync_work_on_plain_paths() {
-        let layout = scratch("atomic");
-        let path = layout.root().join("blob");
-        write_file_atomic(&path, "hello\n").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "hello\n");
-        write_file_atomic(&path, "replaced\n").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "replaced\n");
-        fsync_parent(&path).unwrap();
-        fsync_dir(layout.root()).unwrap();
         cleanup(&layout);
     }
 

@@ -32,6 +32,7 @@
 //! is merged in channel order, `--jobs N` stays bit-identical in diagnostic
 //! output for every `N`.
 
+use crate::diagnostics::escape_json;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -460,14 +461,14 @@ impl TraceSnapshot {
             e.push_str("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":");
             e.push_str(&tid.to_string());
             e.push_str(",\"args\":{\"name\":\"");
-            escape_json_into(name, &mut e);
+            escape_json(name, &mut e);
             e.push_str("\"}}");
             push_event(&e, &mut out);
         }
         for (tid, ev) in &self.events {
             let mut e = String::new();
             e.push_str("{\"name\":\"");
-            escape_json_into(&ev.name, &mut e);
+            escape_json(&ev.name, &mut e);
             e.push_str("\",\"ph\":\"");
             e.push_str(ev.phase.chrome());
             e.push_str("\",\"ts\":");
@@ -494,7 +495,7 @@ impl TraceSnapshot {
                         ArgValue::U64(n) => e.push_str(&n.to_string()),
                         ArgValue::Str(s) => {
                             e.push('"');
-                            escape_json_into(s, &mut e);
+                            escape_json(s, &mut e);
                             e.push('"');
                         }
                     }
@@ -513,20 +514,6 @@ impl TraceSnapshot {
 /// Chrome trace `ts` unit, without going through floats.
 fn micros(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
-}
-
-fn escape_json_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
 }
 
 // ------------------------------------------------------------- histogram

@@ -21,12 +21,13 @@
 //! the process exit with [`WORKER_KILL_EXIT`] right after a claim, the
 //! cheapest faithful stand-in for a mid-job crash.
 
+use crate::durable;
 use crate::faults::{
     should_inject, with_scope, FaultPlan, SITE_SWEEP_HEARTBEAT, SITE_SWEEP_LEASE, SITE_SWEEP_WORKER,
 };
 use crate::sweep::{
-    fsync_parent, is_done, read_lease, release_count, remove_lease, renew_lease,
-    shutdown_requested, try_claim, write_file_atomic, SweepLayout, WORKER_KILL_EXIT,
+    is_done, read_lease, release_count, remove_lease, renew_lease, shutdown_requested, try_claim,
+    SweepLayout, WORKER_KILL_EXIT,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -74,7 +75,7 @@ pub fn run_worker(
     mut exec: impl FnMut(usize, &str) -> Result<(), String>,
 ) -> Result<WorkerSummary, String> {
     let pid_path = layout.pid_path(&config.id);
-    write_file_atomic(&pid_path, &format!("{}\n", std::process::id()))
+    durable::replace(&pid_path, format!("{}\n", std::process::id()))
         .map_err(|e| format!("cannot write pid file {}: {e}", pid_path.display()))?;
 
     // Sticky per-worker heartbeat suppression: decided once so a suppressed
@@ -101,7 +102,7 @@ pub fn run_worker(
             while !stop.load(Ordering::Relaxed) {
                 if !hb_suppressed {
                     count += 1;
-                    let _ = write_file_atomic(&layout.heartbeat_path(&id), &format!("{count}\n"));
+                    let _ = durable::replace(&layout.heartbeat_path(&id), format!("{count}\n"));
                 }
                 if let Some(cur) = current.lock().unwrap_or_else(|e| e.into_inner()).as_ref() {
                     if !cur.renew_suppressed {
@@ -185,8 +186,7 @@ pub fn run_worker(
 
     stop.store(true, Ordering::Relaxed);
     let _ = beat.join();
-    let _ = std::fs::remove_file(&pid_path);
-    let _ = fsync_parent(&pid_path);
+    let _ = durable::remove(&pid_path);
     result
 }
 

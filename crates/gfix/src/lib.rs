@@ -103,8 +103,8 @@ impl Pipeline {
         self.run_with_stats(config, &Selection::default()).0
     }
 
-    /// Runs the selected checkers through one shared [`AnalysisSession`]
-    /// (`gcatch::AnalysisSession`), patches every fixable BMOC bug under the
+    /// Runs the selected checkers through one shared
+    /// [`AnalysisSession`](gcatch::AnalysisSession), patches every fixable BMOC bug under the
     /// `fix` telemetry stage, and returns the results together with the
     /// session's [`Stats`] snapshot (stage timings and pipeline counters).
     pub fn run_with_stats(

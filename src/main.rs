@@ -10,6 +10,8 @@
 //! $ gcatch extended file.go           # §6 send-on-closed panic detector
 //! ```
 
+use gcatch_suite::gcatch::diagnostics::escape_json;
+use gcatch_suite::gcatch::durable;
 use gcatch_suite::gcatch::events::Field;
 use gcatch_suite::gcatch::{
     derive_run_id, faults, obs_zero_time, read_manifest, render_explain, render_json_with,
@@ -319,12 +321,6 @@ fn trace_level(trace_path: Option<&str>) -> Result<TraceLevel, String> {
     }
 }
 
-/// Writes a trace snapshot as Chrome trace-event JSON.
-fn write_trace(path: &str, snapshot: &gcatch_suite::gcatch::TraceSnapshot) -> Result<(), String> {
-    std::fs::write(path, snapshot.render_chrome())
-        .map_err(|e| format!("cannot write trace file {path}: {e}"))
-}
-
 /// A run-level (`run_start`/`run_end`) event: group 0, no job/channel
 /// correlation, so canonical ordering brackets the stream with it.
 fn run_event(kind: EventKind, fields: Vec<(&'static str, Field)>) -> Event {
@@ -446,7 +442,7 @@ fn run_diagnostics(
         .observe(Metric::ModuleWallNs, started.elapsed().as_nanos() as u64);
     let stats = gcatch.stats();
     if let Some(tp) = trace_path {
-        write_trace(tp, &gcatch.trace_snapshot())?;
+        write_output(tp, &gcatch.trace_snapshot().render_chrome())?;
     }
     if let Some(mp) = metrics_out {
         write_sink(mp, &render_prometheus(&stats, zero_time));
@@ -572,7 +568,7 @@ fn cmd_fix(rest: &[String]) -> Result<ExitCode, String> {
         let results = if round == 0 {
             let (results, _, snapshot) = pipeline.run_traced(&config, &Selection::default(), level);
             if let Some(tp) = trace_path {
-                write_trace(tp, &snapshot)?;
+                write_output(tp, &snapshot.render_chrome())?;
             }
             results
         } else {
@@ -625,7 +621,7 @@ fn cmd_fix(rest: &[String]) -> Result<ExitCode, String> {
     }
     println!("{applied} patch(es) applied (fixpoint after {applied} round(s))");
     if write && applied > 0 {
-        write_atomic(&path, &source)?;
+        write_output(&path, &source)?;
         println!("wrote patched source to {path} ({applied} patch(es) applied)");
     }
     Ok(if initial_bugs > 0 {
@@ -635,34 +631,55 @@ fn cmd_fix(rest: &[String]) -> Result<ExitCode, String> {
     })
 }
 
-/// Replaces `path` atomically: the new contents go to a temp file in the
-/// same directory, which is then renamed over the original, so an
-/// interrupted `fix --write` can never leave a truncated source file.
-/// The containing directory is fsynced after the rename so the new name
-/// itself survives a crash, not just the bytes behind it.
-fn write_atomic(path: &str, contents: &str) -> Result<(), String> {
-    use std::io::Write;
-    let target = std::path::Path::new(path);
-    let dir = match target.parent() {
-        Some(d) if !d.as_os_str().is_empty() => d,
-        _ => std::path::Path::new("."),
-    };
-    let file_name = target
-        .file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or("out.go");
-    let tmp = dir.join(format!(".{}.gcatch-tmp-{}", file_name, std::process::id()));
-    let result = (|| -> std::io::Result<()> {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(contents.as_bytes())?;
-        f.sync_all()?;
-        std::fs::rename(&tmp, target)?;
-        gcatch_suite::gcatch::sweep::fsync_dir(dir)
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result.map_err(|e| format!("cannot write {path}: {e}"))
+/// Writes an output file — a report, trace, sink, or `fix --write`
+/// source — through [`durable::replace`], so an interrupted write never
+/// leaves a truncated file: readers see the old contents or the new.
+fn write_output(path: &str, contents: &str) -> Result<(), String> {
+    durable::replace(std::path::Path::new(path), contents)
+        .map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+/// Runs `body` while a ticker thread republishes the `--metrics-out`
+/// exposition every 200 ms, so external scrapers see the counters move
+/// during a batch or a resident daemon; the caller writes the final,
+/// authoritative exposition afterwards through [`write_sink`]. A failing
+/// republish warns once, not every tick, and never aborts the run.
+fn with_live_metrics<R>(
+    metrics_out: Option<&str>,
+    telemetry: &Telemetry,
+    zero_time: bool,
+    body: impl FnOnce() -> R,
+) -> R {
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let ticker = metrics_out.map(|path| {
+            let stop = &stop;
+            scope.spawn(move || {
+                let mut warned = false;
+                loop {
+                    for _ in 0..8 {
+                        if stop.load(std::sync::atomic::Ordering::Relaxed) {
+                            return;
+                        }
+                        std::thread::sleep(Duration::from_millis(25));
+                    }
+                    let rendered = render_prometheus(&telemetry.snapshot(), zero_time);
+                    if let Err(e) = write_output(path, &rendered) {
+                        if !warned {
+                            eprintln!("gcatch: warning: live metrics republish failed: {e}");
+                            warned = true;
+                        }
+                    }
+                }
+            })
+        });
+        let out = body();
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        if let Some(t) = ticker {
+            let _ = t.join();
+        }
+        out
+    })
 }
 
 /// Writes an observability sink file (`--metrics-out` / `--events-out`).
@@ -670,7 +687,7 @@ fn write_atomic(path: &str, contents: &str) -> Result<(), String> {
 /// that produced the results: it degrades to a structured `sink` incident
 /// on stderr, and the run's own exit code stands.
 fn write_sink(path: &str, contents: &str) {
-    if let Err(message) = write_atomic(path, contents) {
+    if let Err(message) = write_output(path, contents) {
         let incident = Incident {
             kind: IncidentKind::Sink,
             name: path.to_string(),
@@ -809,24 +826,6 @@ fn expand_modules(inputs: &[String]) -> Result<Vec<String>, String> {
     Ok(modules)
 }
 
-/// JSON string escaping for the batch report (mirrors the diagnostics
-/// renderer so module names round-trip through the journal).
-fn json_escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Extracts the `"bugs":N` count from a batch job payload. The payload is
 /// produced by [`run_batch_module`], whose escaped module name can never
 /// contain a raw `"`, so the first `","bugs":` is always the real field.
@@ -865,10 +864,10 @@ fn render_batch_report(records: &[JobRecord<String>], quarantined: usize) -> (St
             }
             None => {
                 report.push_str("{\"module\":\"");
-                json_escape(&rec.id, &mut report);
+                escape_json(&rec.id, &mut report);
                 report.push_str("\",\"quarantined\":true,\"message\":\"");
                 if let Some(inc) = &rec.incident {
-                    json_escape(&inc.message, &mut report);
+                    escape_json(&inc.message, &mut report);
                 }
                 // The flight-recorder dump rides along unconditionally:
                 // it is deterministic (attempt lifecycle only, no wall
@@ -881,7 +880,7 @@ fn render_batch_report(records: &[JobRecord<String>], quarantined: usize) -> (St
                             report.push(',');
                         }
                         report.push('"');
-                        json_escape(line, &mut report);
+                        escape_json(line, &mut report);
                         report.push('"');
                     }
                 }
@@ -946,7 +945,7 @@ fn run_batch_module(
         .observe(Metric::ModuleWallNs, started.elapsed().as_nanos() as u64);
     telemetry.absorb(&gcatch.stats());
     let mut payload = String::from("{\"module\":\"");
-    json_escape(path, &mut payload);
+    escape_json(path, &mut payload);
     payload.push_str("\",\"bugs\":");
     payload.push_str(&diagnostics.len().to_string());
     payload.push_str(",\"report\":");
@@ -1087,49 +1086,15 @@ fn cmd_batch(rest: &[String]) -> Result<ExitCode, String> {
             Duration::from_millis(100),
         );
     }
-    // While the batch runs, a ticker thread periodically republishes the
-    // metrics file so external scrapers see live progress; the final
-    // (authoritative) exposition is rewritten after the run completes.
-    let stop = std::sync::atomic::AtomicBool::new(false);
-    let outcome = std::thread::scope(|scope| {
-        let ticker = metrics_out.map(|path| {
-            let stop = &stop;
-            let telemetry = &telemetry;
-            scope.spawn(move || {
-                // A failing live republish degrades to one warning, not a
-                // warning every tick and never an aborted batch; the final
-                // post-run write reports again through write_sink.
-                let mut warned = false;
-                loop {
-                    for _ in 0..8 {
-                        if stop.load(std::sync::atomic::Ordering::Relaxed) {
-                            return;
-                        }
-                        std::thread::sleep(Duration::from_millis(25));
-                    }
-                    let rendered = render_prometheus(&telemetry.snapshot(), zero_time);
-                    if let Err(e) = write_atomic(path, &rendered) {
-                        if !warned {
-                            eprintln!("gcatch: warning: live metrics republish failed: {e}");
-                            warned = true;
-                        }
-                    }
-                }
-            })
-        });
-        let outcome = engine.run(&jobs, journal.as_ref().map(|j| (j, &codec)), restored);
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        if let Some(t) = ticker {
-            let _ = t.join();
-        }
-        outcome
+    let outcome = with_live_metrics(metrics_out, &telemetry, zero_time, || {
+        engine.run(&jobs, journal.as_ref().map(|j| (j, &codec)), restored)
     });
     if progress {
         eprint!("\r\x1b[K");
     }
     drop(jobs);
     if let Some(tp) = trace_path {
-        write_trace(tp, &tracer.snapshot())?;
+        write_output(tp, &tracer.snapshot().render_chrome())?;
     }
     if let Some(err) = &outcome.journal_error {
         eprintln!("gcatch: warning: journal write failed: {err}");
@@ -1138,7 +1103,7 @@ fn cmd_batch(rest: &[String]) -> Result<ExitCode, String> {
     let (report, total_bugs) = render_batch_report(&outcome.records, outcome.quarantined);
 
     if let Some(path) = flag_value(&flags, "report") {
-        write_atomic(path, &format!("{report}\n"))?;
+        write_output(path, &format!("{report}\n"))?;
     }
     let stats = telemetry.snapshot();
     if let Some(mp) = metrics_out {
@@ -1496,7 +1461,7 @@ fn cmd_sweep(rest: &[String]) -> Result<ExitCode, String> {
     let (report, total_bugs) = render_batch_report(records, quarantined);
 
     if let Some(path) = flag_value(&flags, "report") {
-        write_atomic(path, &format!("{report}\n"))?;
+        write_output(path, &format!("{report}\n"))?;
     }
     let stats = telemetry.snapshot();
     if let Some(mp) = metrics_out {
@@ -1626,7 +1591,7 @@ fn serve_execute(
             let mut out = String::from("{\"diagnostics\":");
             out.push_str(&diagnostics.len().to_string());
             out.push_str(",\"explain\":\"");
-            json_escape(&text, &mut out);
+            escape_json(&text, &mut out);
             out.push_str("\"}");
             Ok(out)
         }
@@ -1641,9 +1606,9 @@ fn serve_execute(
                     out.push(',');
                 }
                 out.push_str("{\"strategy\":\"");
-                json_escape(&patch.strategy.to_string(), &mut out);
+                escape_json(&patch.strategy.to_string(), &mut out);
                 out.push_str("\",\"description\":\"");
-                json_escape(&patch.description, &mut out);
+                escape_json(&patch.description, &mut out);
                 out.push_str("\",\"changed_lines\":");
                 out.push_str(&patch.changed_lines.to_string());
                 out.push('}');
@@ -1787,41 +1752,9 @@ fn cmd_serve(rest: &[String]) -> Result<ExitCode, String> {
         serve_execute(op, source, budget, &base)
     };
 
-    // Same live-republish ticker as batch: scrapers watching
-    // --metrics-out see the request counters move while the daemon runs.
-    let stop = std::sync::atomic::AtomicBool::new(false);
-    let summary = std::thread::scope(|scope| {
-        let ticker = metrics_out.map(|path| {
-            let stop = &stop;
-            let telemetry = &telemetry;
-            scope.spawn(move || {
-                let mut warned = false;
-                loop {
-                    for _ in 0..8 {
-                        if stop.load(std::sync::atomic::Ordering::Relaxed) {
-                            return;
-                        }
-                        std::thread::sleep(Duration::from_millis(25));
-                    }
-                    let rendered = render_prometheus(&telemetry.snapshot(), zero_time);
-                    if let Err(e) = write_atomic(path, &rendered) {
-                        if !warned {
-                            eprintln!("gcatch: warning: live metrics republish failed: {e}");
-                            warned = true;
-                        }
-                    }
-                }
-            })
-        });
-        let summary = match &socket {
-            Some(path) => serve_socket(path, &config, &executor, &telemetry, bus.clone()),
-            None => serve_stdio(&config, &executor, &telemetry, bus.clone()),
-        };
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        if let Some(t) = ticker {
-            let _ = t.join();
-        }
-        summary
+    let summary = with_live_metrics(metrics_out, &telemetry, zero_time, || match &socket {
+        Some(path) => serve_socket(path, &config, &executor, &telemetry, bus.clone()),
+        None => serve_stdio(&config, &executor, &telemetry, bus.clone()),
     })?;
 
     let stats = telemetry.snapshot();
